@@ -10,9 +10,11 @@
 //! pool is prestarted and one untimed warmup iteration runs first, so
 //! thread start-up and cold caches are never charged to a measurement.
 //!
-//! A second mode, `--ci-label <label>`, runs one pipeline explanation at
-//! the *environment-configured* `GEF_THREADS` and emits the collected
-//! telemetry under `<label>` — the hook `ci.sh` uses to diff telemetry
+//! A second mode, `--ci-label <label>`, runs two pipeline explanations —
+//! a regression forest, and a `BinaryLogistic` forest with one pair so
+//! the PIRLS events and counters are covered — at the
+//! *environment-configured* `GEF_THREADS` and emits the collected
+//! telemetry under `<label>`: the hook `ci.sh` uses to diff telemetry
 //! reports between thread counts.
 
 use gef_bench::{print_table, timed_run_warmed, train_paper_forest, RunSize, Timing};
@@ -44,31 +46,44 @@ fn main() {
     sweep();
 }
 
-/// One deterministic pipeline explanation at the env-configured thread
-/// count, telemetry emitted under `label`. `ci.sh` runs this twice
-/// (GEF_THREADS=1 and 4) and diffs the reports' non-timing fields.
+/// Two deterministic pipeline explanations (regression, then logistic
+/// with one pair) at the env-configured thread count, telemetry emitted
+/// under `label`. `ci.sh` runs this twice (GEF_THREADS=1 and 4) and
+/// diffs the reports' non-timing fields.
 fn ci_run(label: &str) {
     let size = RunSize::from_args();
-    let data = make_d_prime(size.pick(2_000, 6_000, 12_000), 1);
-    let forest = train_paper_forest(&data.xs, &data.ys, size, Objective::RegressionL2);
-    let exp = GefExplainer::new(GefConfig {
-        num_univariate: NUM_FEATURES,
-        num_interactions: 1,
-        sampling: SamplingStrategy::EquiSize(size.pick(300, 1_000, 4_000)),
-        n_samples: size.pick(4_000, 20_000, 50_000),
-        seed: 3,
-        ..Default::default()
-    })
-    .explain(&forest)
-    .expect("pipeline succeeds");
-    println!(
-        "[{label}] threads={} lambda={:e} rmse={:.6} r2={:.6} degradations={}",
-        gef_par::threads(),
-        exp.gam.summary().lambda,
-        exp.fidelity_rmse,
-        exp.fidelity_r2,
-        exp.degradations.len()
-    );
+    let rows = size.pick(2_000, 6_000, 12_000);
+    let regression = make_d_prime(rows, 1);
+    let classification = gef_data::census::census_sim_sized(rows, 7);
+    for (name, data, objective, num_univariate) in [
+        (
+            "regression",
+            regression,
+            Objective::RegressionL2,
+            NUM_FEATURES,
+        ),
+        ("logistic", classification, Objective::BinaryLogistic, 5),
+    ] {
+        let forest = train_paper_forest(&data.xs, &data.ys, size, objective);
+        let exp = GefExplainer::new(GefConfig {
+            num_univariate,
+            num_interactions: 1,
+            sampling: SamplingStrategy::EquiSize(size.pick(300, 1_000, 4_000)),
+            n_samples: size.pick(4_000, 20_000, 50_000),
+            seed: 3,
+            ..Default::default()
+        })
+        .explain(&forest)
+        .expect("pipeline succeeds");
+        println!(
+            "[{label}] {name} threads={} lambda={:e} rmse={:.6} r2={:.6} degradations={}",
+            gef_par::threads(),
+            exp.gam.summary().lambda,
+            exp.fidelity_rmse,
+            exp.fidelity_r2,
+            exp.degradations.len()
+        );
+    }
     gef_bench::emit_telemetry(label);
 }
 

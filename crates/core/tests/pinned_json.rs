@@ -9,6 +9,12 @@
 //!
 //! Wall-clock fields (stage timings) and the resolved thread count are
 //! zeroed before hashing; everything else is a function of the seeds.
+//!
+//! Each artifact also has a *layout* digest: the same bytes with every
+//! number token masked (and the explanation's GAM digest, a hash of the
+//! coefficients, fixed). It pins field names, nesting, array lengths and
+//! strings, so a change that only moves fitted numbers in their last bits
+//! re-records the full digests above while the layout digests hold.
 
 use gef_core::{
     DegradationAction, ExplanationReport, FitFloor, GefConfig, GefExplainer, GefExplanation,
@@ -34,6 +40,49 @@ fn digests(forest: &Forest, exp: &GefExplanation) -> [u64; 4] {
         fnv1a(&exp.gam.to_json()),
         fnv1a(&gef_forest::io::to_json(forest)),
         fnv1a(&report.to_json()),
+    ]
+}
+
+/// Replace every JSON number token (outside strings) with `#`.
+fn mask_numbers(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let (mut in_string, mut escaped, mut in_number) = (false, false, false);
+    for c in text.chars() {
+        if in_string {
+            out.push(c);
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        if in_number && matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-') {
+            continue;
+        }
+        in_number = matches!(c, '0'..='9' | '-');
+        if in_number {
+            out.push('#');
+            continue;
+        }
+        in_string = c == '"';
+        out.push(c);
+    }
+    out
+}
+
+/// `[explanation, gam, forest, report]` layout digests: number tokens
+/// masked, the GAM digest string fixed.
+fn layout_digests(forest: &Forest, exp: &GefExplanation) -> [u64; 4] {
+    let mut exp = exp.clone();
+    exp.provenance.gam_digest = "0".repeat(16);
+    let report = ExplanationReport::from_explanation(&exp, None, 8);
+    [
+        fnv1a(&mask_numbers(&exp.to_json())),
+        fnv1a(&mask_numbers(&exp.gam.to_json())),
+        fnv1a(&mask_numbers(&gef_forest::io::to_json(forest))),
+        fnv1a(&mask_numbers(&report.to_json())),
     ]
 }
 
@@ -82,10 +131,19 @@ fn regression_explanation_bytes_are_pinned() {
     assert_eq!(
         digests(&forest, &exp),
         [
-            0x454bce94a0226997,
-            0xee3e779563513fc6,
+            0x83dc16816a4ed177,
+            0xdffbcc6b67765a08,
             0xe1fd09b9d6eddc29,
-            0x51889ee3493f6562
+            0xeed2c1aef10a0364
+        ]
+    );
+    assert_eq!(
+        layout_digests(&forest, &exp),
+        [
+            0x89c80cdf00907447,
+            0xcf975cd78dca16ee,
+            0xb0595fce02821cd7,
+            0xa452d7ddce69ed5a
         ]
     );
     round_trips(&forest, &exp);
@@ -119,10 +177,19 @@ fn logit_explanation_with_a_pair_bytes_are_pinned() {
     assert_eq!(
         digests(&forest, &exp),
         [
-            0x7eb0de412bc9ca1b,
-            0x000384b85003df24,
+            0x14f456b76206f23e,
+            0x0cfbf7c4abf2971a,
             0x4fd3f9303479bc93,
-            0xcc308979f8f0b6a0
+            0x5b5b792f5084ef54
+        ]
+    );
+    assert_eq!(
+        layout_digests(&forest, &exp),
+        [
+            0x468ae511be5e28d1,
+            0x19f77bc3ae5c68cb,
+            0x542009e00cbbae8f,
+            0xeff44fd27f04ac3d
         ]
     );
     round_trips(&forest, &exp);

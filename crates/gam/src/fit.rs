@@ -12,7 +12,7 @@
 //! `Vβ = (XᵀWX + λS)⁻¹ φ` (Wood 2006), the same construction PyGAM uses
 //! for the intervals shown in the paper's spline plots.
 
-use crate::design::{sparse_dot, Design};
+use crate::design::{sparse_dot, Codebook, Design};
 use crate::terms::TermSpec;
 use crate::{GamError, Result};
 use gef_linalg::{Cholesky, Matrix};
@@ -216,8 +216,14 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
             )));
         }
     }
-    // Cache sparse design rows once.
-    let rows: Vec<Vec<(usize, f64)>> = xs.iter().map(|x| design.row(x)).collect();
+    if u32::try_from(n).is_err() {
+        return Err(GamError::InvalidData(format!(
+            "{n} rows exceed the u32 row codes of the design codebook"
+        )));
+    }
+    // Encode each term's distinct inputs once; every λ candidate and
+    // every PIRLS iteration reads this codebook.
+    let book = Codebook::build(&design, xs);
 
     let grid: Vec<f64> = match &spec.lambda {
         LambdaSelection::Fixed(l) => vec![*l],
@@ -241,16 +247,16 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     // one-hots sum to 1), which aliases the intercept. We pin each
     // term's *mean training contribution* to zero with a λ-independent
     // quadratic penalty κ·(c_t c_tᵀ), where c_t is the term's training
-    // column-mean vector. This keeps the design rows sparse (unlike a
+    // column-mean vector. This keeps the design sparse (unlike a
     // reparameterization) while making both the point estimates and the
     // Bayesian covariance identifiable.
-    let constraint = constraint_penalty(&design, &rows);
+    let constraint = constraint_penalty(&design, &book.column_means());
 
     let fitted = match spec.link {
-        Link::Identity => fit_gaussian(&design, &rows, ys, &grid, &constraint)?,
+        Link::Identity => fit_gaussian(&design, &book, ys, &grid, &constraint)?,
         Link::Logit => fit_logit(
             &design,
-            &rows,
+            &book,
             ys,
             &grid,
             spec.max_pirls_iter,
@@ -269,23 +275,7 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     }
 
     // Per-term training contributions (for centering and importance).
-    let t = design.terms.len();
-    let mut sums = vec![0.0; t];
-    let mut sq_sums = vec![0.0; t];
-    for x in xs {
-        for ti in 0..t {
-            let row = design.term_row(ti, x);
-            let c = sparse_dot(&row, &beta);
-            sums[ti] += c;
-            sq_sums[ti] += c * c;
-        }
-    }
-    let component_means: Vec<f64> = sums.iter().map(|s| s / n as f64).collect();
-    let component_sds: Vec<f64> = sq_sums
-        .iter()
-        .zip(&component_means)
-        .map(|(&sq, &m)| (sq / n as f64 - m * m).max(0.0).sqrt())
-        .collect();
+    let (component_means, component_sds) = book.component_stats(&beta);
 
     Ok(Gam {
         design,
@@ -305,7 +295,7 @@ type Fitted = (Vec<f64>, Matrix, FitSummary);
 ///
 /// * Univariate terms get the outer product of their (unit-normalized)
 ///   training column means: penalizing `βᵀ (c cᵀ) β` drives the term's
-///   average contribution to zero without densifying the design rows.
+///   average contribution to zero without densifying the design.
 /// * Tensor terms instead get **marginal-mean** constraints
 ///   `(ā āᵀ) ⊗ I + I ⊗ (b̄ b̄ᵀ)`, where `ā`/`b̄` are the training means
 ///   of the marginal bases. A tensor basis spans pure univariate
@@ -315,18 +305,8 @@ type Fitted = (Vec<f64>, Matrix, FitSummary);
 ///   soft-constraint analogue of mgcv's `ti()` interaction smooths.
 ///   Because each marginal basis is a partition of unity, the marginal
 ///   means are exact row/column sums of the tensor's column means.
-fn constraint_penalty(design: &Design, rows: &[Vec<(usize, f64)>]) -> Matrix {
+fn constraint_penalty(design: &Design, means: &[f64]) -> Matrix {
     let p = design.num_cols;
-    let n = rows.len() as f64;
-    let mut means = vec![0.0; p];
-    for row in rows {
-        for &(c, v) in row {
-            means[c] += v;
-        }
-    }
-    for m in &mut means {
-        *m /= n;
-    }
     let mut sc = Matrix::zeros(p, p);
     for t in 0..design.terms.len() {
         let (start, end) = design.term_cols(t);
@@ -428,25 +408,15 @@ fn edf_trace(chol: &Cholesky, g: &Matrix) -> Result<f64> {
 
 fn fit_gaussian(
     design: &Design,
-    rows: &[Vec<(usize, f64)>],
+    book: &Codebook,
     ys: &[f64],
     grid: &[f64],
     constraint: &Matrix,
 ) -> Result<Fitted> {
-    let n = rows.len();
-    let p = design.num_cols;
+    let n = ys.len();
     // Accumulate XᵀX, Xᵀy, yᵀy once.
-    let mut g = Matrix::zeros(p, p);
-    let mut b = vec![0.0; p];
-    let mut yty = 0.0;
-    for (row, &y) in rows.iter().zip(ys) {
-        g.syr_upper_sparse(row, 1.0);
-        for &(c, v) in row {
-            b[c] += v * y;
-        }
-        yty += y * y;
-    }
-    g.mirror_upper();
+    let (g, b) = book.cross_products(ys.iter().map(|&y| (1.0, y)));
+    let yty: f64 = ys.iter().map(|y| y * y).sum();
     let ridge = ridge_for(&g);
 
     let _grid_span = gef_trace::Span::enter("gam.gcv_grid");
@@ -548,14 +518,14 @@ fn fit_gaussian(
 #[allow(clippy::too_many_arguments)]
 fn fit_logit(
     design: &Design,
-    rows: &[Vec<(usize, f64)>],
+    book: &Codebook,
     ys: &[f64],
     grid: &[f64],
     max_iter: usize,
     tol: f64,
     constraint: &Matrix,
 ) -> Result<Fitted> {
-    let n = rows.len();
+    let n = ys.len();
     let _grid_span = gef_trace::Span::enter("gam.gcv_grid");
     // λ candidates evaluate on the gef-par pool (each PIRLS run owns its
     // factorization); results come back in grid order. A diverging PIRLS
@@ -573,7 +543,7 @@ fn fit_logit(
                 if gef_trace::budget::hard_exceeded() {
                     return Err(GamError::DeadlineExceeded { at: "gcv_grid" });
                 }
-                let run = pirls_logit(design, rows, ys, lambda, max_iter, tol, constraint)?;
+                let run = pirls_logit(design, book, ys, lambda, max_iter, tol, constraint)?;
                 let edf = edf_trace(&run.chol, &run.weighted_gram)?;
                 let denom = (n as f64 - edf).max(1.0);
                 let gcv = n as f64 * run.deviance / (denom * denom);
@@ -602,6 +572,9 @@ fn fit_logit(
             gef_trace::counter!("gam.pirls_iterations").add(run.iters as u64);
             if run.step_halvings > 0 {
                 gef_trace::counter!("gam.pirls_step_halvings").add(run.step_halvings as u64);
+            }
+            if run.capped {
+                gef_trace::counter!("gam.pirls_unconverged").add(1);
             }
             gef_trace::global().event(
                 "gam.pirls",
@@ -668,6 +641,8 @@ struct Pirls {
     /// out so the coordinator can emit the `gam.pirls` event in grid
     /// order (PIRLS runs may execute on pool workers).
     final_delta: f64,
+    /// The run stopped at the iteration cap without converging.
+    capped: bool,
 }
 
 /// Binomial deviance of the responses under linear predictors `eta`.
@@ -704,7 +679,7 @@ const MAX_STEP_HALVINGS: usize = 12;
 #[allow(clippy::too_many_arguments)]
 fn pirls_logit(
     design: &Design,
-    rows: &[Vec<(usize, f64)>],
+    book: &Codebook,
     ys: &[f64],
     lambda: f64,
     max_iter: usize,
@@ -729,6 +704,7 @@ fn pirls_logit(
     // against: any finite deviance is accepted.
     let mut prev_dev = f64::INFINITY;
     let mut step_halvings = 0usize;
+    let mut capped = true;
     // Budget cap on PIRLS iterations (0 = unlimited): a process-wide
     // clamp on top of the spec's own `max_pirls_iter`.
     let max_iter = match gef_trace::budget::pirls_iter_cap() {
@@ -747,19 +723,11 @@ fn pirls_logit(
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         iters = it + 1;
-        let mut g = Matrix::zeros(p, p);
-        let mut b = vec![0.0; p];
-        for (row, (&y, &e)) in rows.iter().zip(ys.iter().zip(&eta)) {
+        let (g, b) = book.cross_products(ys.iter().zip(&eta).map(|(&y, &e)| {
             let mu = Link::Logit.inverse(e);
             let w = (mu * (1.0 - mu)).max(1e-6);
-            let z = e + (y - mu) / w;
-            g.syr_upper_sparse(row, w);
-            let wz = w * z;
-            for &(c, v) in row {
-                b[c] += v * wz;
-            }
-        }
-        g.mirror_upper();
+            (w, w * (e + (y - mu) / w))
+        }));
         let ridge = ridge_for(&g);
         let chol = penalized_chol(&g, &design.penalty, lambda, constraint, ridge)?;
         let mut new_beta = chol.solve(&b)?;
@@ -778,10 +746,10 @@ fn pirls_logit(
         // iterate while it makes the deviance worse or non-finite.
         let mut halved = 0usize;
         let (new_eta, dev, accepted) = loop {
-            let cand_eta: Vec<f64> = rows
-                .iter()
-                .map(|row| sparse_dot(row, &new_beta).clamp(-30.0, 30.0))
-                .collect();
+            let mut cand_eta = book.linear_predictor(&new_beta);
+            for e in &mut cand_eta {
+                *e = e.clamp(-30.0, 30.0);
+            }
             let dev = binomial_deviance(ys, &cand_eta);
             if dev.is_finite() && dev <= prev_dev + 1e-6 * (1.0 + prev_dev.abs()) {
                 break (cand_eta, dev, true);
@@ -808,6 +776,7 @@ fn pirls_logit(
             // `result` (the first iteration always either accepts a
             // finite step or diverges above).
             last_delta = 0.0;
+            capped = false;
             break;
         }
         let delta = new_beta
@@ -822,6 +791,7 @@ fn pirls_logit(
         result = Some((chol, g));
         last_delta = delta;
         if delta < tol * (1.0 + scale_ref) {
+            capped = false;
             break;
         }
     }
@@ -841,6 +811,7 @@ fn pirls_logit(
         iters,
         step_halvings,
         final_delta: last_delta,
+        capped,
     })
 }
 

@@ -203,8 +203,6 @@ impl Matrix {
 
     /// Symmetric rank-1 update of the upper triangle: `self += w * x xᵀ`
     /// (upper triangle only; call [`Matrix::mirror_upper`] to complete).
-    ///
-    /// This is the hot path for accumulating `XᵀWX` row by row.
     #[inline]
     pub fn syr_upper(&mut self, x: &[f64], w: f64) {
         debug_assert_eq!(x.len(), self.cols);
@@ -222,26 +220,8 @@ impl Matrix {
         }
     }
 
-    /// Sparse symmetric rank-1 update of the upper triangle using only
-    /// the non-zero entries `(index, value)` of `x`: `self += w * x xᵀ`.
-    ///
-    /// `nz` must be sorted by index. This is what makes GAM fitting with
-    /// 100k-row design matrices cheap: a cubic-spline row has only a few
-    /// non-zeros, so the update is O(nnz²) instead of O(p²).
-    #[inline]
-    pub fn syr_upper_sparse(&mut self, nz: &[(usize, f64)], w: f64) {
-        debug_assert_eq!(self.rows, self.cols);
-        let n = self.cols;
-        for (a, &(j, xj)) in nz.iter().enumerate() {
-            let wxj = w * xj;
-            for &(k, xk) in &nz[a..] {
-                self.data[j * n + k] += wxj * xk;
-            }
-        }
-    }
-
     /// Copy the upper triangle into the lower one, making the matrix
-    /// fully symmetric after a sequence of `syr_upper*` updates.
+    /// fully symmetric after a sequence of upper-triangle updates.
     pub fn mirror_upper(&mut self) {
         debug_assert_eq!(self.rows, self.cols);
         let n = self.cols;
@@ -389,18 +369,6 @@ mod tests {
                 assert!(approx(g[(i, j)], e[(i, j)]), "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn syr_sparse_matches_dense() {
-        let mut a = Matrix::zeros(4, 4);
-        let mut b = Matrix::zeros(4, 4);
-        let x = [0.0, 2.0, 0.0, -3.0];
-        a.syr_upper(&x, 0.5);
-        b.syr_upper_sparse(&[(1, 2.0), (3, -3.0)], 0.5);
-        a.mirror_upper();
-        b.mirror_upper();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -162,6 +162,98 @@ fn full_pipeline_explanation_is_bit_identical_across_thread_counts() {
     });
 }
 
+/// The logit PIRLS path with a tensor term, on finite-domain inputs
+/// (the case the design codebook compresses): coefficients, λ, edf and
+/// predictions agree bit for bit at 1 and 4 threads.
+#[test]
+fn logit_tensor_fit_is_bit_identical_across_thread_counts() {
+    with_thread_control(|| {
+        let xs: Vec<Vec<f64>> = (0..1_500)
+            .map(|i| vec![(i % 23) as f64 / 22.0, (i % 9) as f64 / 8.0, (i % 2) as f64])
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let score = (5.0 * x[0]).sin() + x[1] * (x[0] - 0.4) + 0.3 * x[2];
+                f64::from(score + 0.4 * ((i * 7919 % 101) as f64 / 100.0 - 0.5) > 0.3)
+            })
+            .collect();
+        let spec = GamSpec::classification(vec![
+            TermSpec::spline(0, (0.0, 1.0)),
+            TermSpec::spline(1, (0.0, 1.0)),
+            TermSpec::factor(2, vec![0.0, 1.0]),
+            TermSpec::tensor((0, 1), ((0.0, 1.0), (0.0, 1.0))),
+        ]);
+        let serial = at_threads(1, || fit(&spec, &xs, &ys).unwrap());
+        let parallel = at_threads(4, || fit(&spec, &xs, &ys).unwrap());
+        assert_eq!(bits(serial.coefficients()), bits(parallel.coefficients()));
+        assert_eq!(
+            serial.summary().lambda.to_bits(),
+            parallel.summary().lambda.to_bits()
+        );
+        assert_eq!(
+            serial.summary().edf.to_bits(),
+            parallel.summary().edf.to_bits()
+        );
+        assert_eq!(
+            bits(&serial.predict_batch(&xs)),
+            bits(&parallel.predict_batch(&xs))
+        );
+    });
+}
+
+/// A local explanation is additive on the link scale:
+/// `baseline + Σ contributions = linear_predictor` (relative 1e-9), and
+/// every value in it is finite — for a seeded logit explanation with
+/// one pair, at 1 and 4 threads.
+#[test]
+fn logit_local_explanations_are_additive_and_finite_at_any_thread_count() {
+    with_thread_control(|| {
+        let data = gef::data::census::census_sim_sized(1_500, 7);
+        let forest = at_threads(1, || {
+            GbdtTrainer::new(GbdtParams {
+                num_trees: 40,
+                num_leaves: 8,
+                objective: Objective::BinaryLogistic,
+                ..Default::default()
+            })
+            .fit(&data.xs, &data.ys)
+            .unwrap()
+        });
+        for t in [1, 4] {
+            let exp = at_threads(t, || {
+                GefExplainer::new(GefConfig {
+                    num_univariate: 4,
+                    num_interactions: 1,
+                    n_samples: 3_000,
+                    seed: 19,
+                    ..Default::default()
+                })
+                .explain(&forest)
+                .expect("pipeline succeeds")
+            });
+            assert_eq!(exp.interactions.len(), 1, "threads={t}");
+            for x in data.xs.iter().take(200) {
+                let local = exp.local(x);
+                let terms = local.contributions.iter().map(|c| c.contribution);
+                let sum = local.baseline + terms.clone().sum::<f64>();
+                let scale = local.baseline.abs() + terms.map(f64::abs).sum::<f64>();
+                assert!(
+                    (sum - local.linear_predictor).abs() <= 1e-9 * scale,
+                    "threads={t}: {sum} vs {}",
+                    local.linear_predictor
+                );
+                let values = [local.prediction, local.linear_predictor, local.baseline];
+                assert!(values.iter().all(|v| v.is_finite()), "threads={t}");
+                for c in &local.contributions {
+                    assert!(c.contribution.is_finite() && c.std_error.is_finite());
+                }
+            }
+        }
+    });
+}
+
 /// A panicking task inside a four-thread region must come back as the
 /// typed `GefError::WorkerPanicked` (the runtime never re-raises the
 /// payload), and the pool must stay usable — and bit-identical across
