@@ -26,6 +26,11 @@ GEF_THREADS=1 cargo test --offline --workspace -q
 echo "==> cargo test --offline (GEF_THREADS=4)"
 GEF_THREADS=4 cargo test --offline --workspace -q
 
+# The tracking allocator and the heap counter track it feeds only
+# compile with the alloc-track feature, which no step above enables.
+echo "==> cargo test --offline -p gef-trace --features alloc-track"
+cargo test --offline -p gef-trace --features alloc-track -q
+
 echo "==> cargo test --offline --doc"
 cargo test --offline --workspace --doc -q
 

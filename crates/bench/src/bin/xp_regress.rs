@@ -50,7 +50,7 @@ use gef_trace::json::{parse, JsonValue, JsonWriter};
 // off for gating runs.
 #[cfg(feature = "alloc-track")]
 #[global_allocator]
-static ALLOC: gef_prof::TrackingAlloc = gef_prof::TrackingAlloc;
+static ALLOC: gef_trace::mem::TrackingAlloc = gef_trace::mem::TrackingAlloc;
 
 const BASELINE_SCHEMA: &str = "gef-bench/regress-baseline/v1";
 const TRAJECTORY_SCHEMA: &str = "gef-bench/regress-trajectory/v1";

@@ -291,8 +291,8 @@ fn write_events(w: &mut JsonWriter, records: &[recorder::Record]) {
 
 /// Render a slow-request capture for the request `trace`: the
 /// trace-id-filtered flight-recorder slice plus (when profiling is on)
-/// the request's Chrome-trace timeline fragment. Pure with respect to
-/// the filesystem, like [`render`].
+/// the same records as a Chrome-trace timeline fragment. Pure with
+/// respect to the filesystem, like [`render`].
 pub fn render_slow(trace: u64, elapsed_ms: u64, threshold_ms: u64, detail: &str) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -305,12 +305,17 @@ pub fn render_slow(trace: u64, elapsed_ms: u64, threshold_ms: u64, detail: &str)
     w.field_u64("threshold_ms", threshold_ms);
     w.field_u64("created_unix_ms", unix_ms());
     w.field_u64("threads", gef_par::threads() as u64);
-    write_events(&mut w, &recorder::snapshot_trace(EVENT_WINDOW, trace));
+    // One snapshot feeds both views, so they name every thread alike.
+    let records = recorder::snapshot_trace(usize::MAX, trace);
+    write_events(
+        &mut w,
+        &records[records.len().saturating_sub(EVENT_WINDOW)..],
+    );
     w.field_u64("events_overwritten", recorder::overwritten_total());
     w.key("timeline");
     if gef_trace::timeline::prof_enabled() {
         // A valid Chrome-trace JSON document, embedded verbatim.
-        w.value_raw(&gef_trace::timeline::chrome_trace_fragment(trace));
+        w.value_raw(&gef_trace::timeline::chrome_trace(&records));
     } else {
         w.value_raw("null");
     }
@@ -324,33 +329,11 @@ pub fn render_slow(trace: u64, elapsed_ms: u64, threshold_ms: u64, detail: &str)
 /// returns the written path, or `None` when dumping is disabled or the
 /// write failed.
 pub fn dump_slow(trace: u64, elapsed_ms: u64, threshold_ms: u64, detail: &str) -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
-    let doc = render_slow(trace, elapsed_ms, threshold_ms, detail);
-    let dir = incident_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "gef-core: cannot create incident dir {}: {e}",
-            dir.display()
-        );
-        return None;
-    }
-    let path = dump_path(&format!("slow_{}", to_hex(trace)));
-    match std::fs::write(&path, doc) {
-        Ok(()) => {
-            eprintln!("gef-core: wrote slow-request capture {}", path.display());
-            prune_label_dumps(&dir);
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!(
-                "gef-core: cannot write slow-request capture {}: {e}",
-                path.display()
-            );
-            None
-        }
-    }
+    write_doc(
+        "slow-request capture",
+        &format!("slow_{}", to_hex(trace)),
+        || render_slow(trace, elapsed_ms, threshold_ms, detail),
+    )
 }
 
 fn unix_ms() -> u64 {
@@ -360,11 +343,15 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-fn write_dump(cause: &str, error: &str, ctx: &IncidentContext) -> Option<PathBuf> {
+/// Render `doc` (only when dumping is enabled), write it to
+/// [`dump_path`]`(cause)` and prune the label's older dumps. `what`
+/// names the document in stderr messages. Returns the written path, or
+/// `None` when dumping is disabled or the write failed.
+fn write_doc(what: &str, cause: &str, doc: impl FnOnce() -> String) -> Option<PathBuf> {
     if !enabled() {
         return None;
     }
-    let doc = render(cause, error, ctx);
+    let doc = doc();
     let dir = incident_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!(
@@ -376,15 +363,12 @@ fn write_dump(cause: &str, error: &str, ctx: &IncidentContext) -> Option<PathBuf
     let path = dump_path(cause);
     match std::fs::write(&path, doc) {
         Ok(()) => {
-            eprintln!("gef-core: wrote incident dump {}", path.display());
+            eprintln!("gef-core: wrote {what} {}", path.display());
             prune_label_dumps(&dir);
             Some(path)
         }
         Err(e) => {
-            eprintln!(
-                "gef-core: cannot write incident dump {}: {e}",
-                path.display()
-            );
+            eprintln!("gef-core: cannot write {what} {}: {e}", path.display());
             None
         }
     }
@@ -448,14 +432,19 @@ pub fn dump_path(cause: &str) -> PathBuf {
 /// returns the written path, or `None` when dumping is disabled or the
 /// write failed.
 pub fn dump_error(err: &GefError, ctx: &IncidentContext) -> Option<PathBuf> {
-    write_dump(err.cause_label(), &err.to_string(), ctx)
+    let cause = err.cause_label();
+    write_doc("incident dump", cause, || {
+        render(cause, &err.to_string(), ctx)
+    })
 }
 
 /// Dump an incident on demand (no error object), e.g. from an operator
 /// tool taking a snapshot of a live process. `cause` becomes the file
 /// name's cause half; `detail` the `error` field.
 pub fn dump_now(cause: &str, detail: &str) -> Option<PathBuf> {
-    write_dump(cause, detail, &IncidentContext::default())
+    write_doc("incident dump", cause, || {
+        render(cause, detail, &IncidentContext::default())
+    })
 }
 
 #[cfg(test)]

@@ -76,15 +76,15 @@
 //! [`gef_trace::push_base_path`]), so spans opened inside tasks land at
 //! the same hierarchical paths as in a serial run.
 //!
-//! When timeline profiling is on (`GEF_PROF`; see
-//! [`gef_trace::timeline`]), every task additionally records a
-//! begin/end pair on its executing thread's timeline — labelled via
-//! [`Options::label`], carrying region id, chunk index, and task count
-//! — and each pool worker registers its spawn index as its logical
-//! thread id, so the exported chrome trace shows a stable per-worker
-//! gantt of who ran which chunk when. Profiling changes *observation
-//! only*: task claiming, chunking, and arithmetic order are untouched,
-//! so results stay bit-identical with `GEF_PROF` on or off.
+//! When profiling detail is on (`GEF_PROF`; see
+//! [`gef_trace::recorder`]), every task additionally records a span in
+//! its executing thread's event ring — labelled via [`Options::label`],
+//! carrying region id, chunk index, and task count. Each pool worker
+//! registers its spawn index as its logical thread id, so the exported
+//! chrome trace shows a stable per-worker gantt of who ran which chunk
+//! when. Profiling changes *observation only*: task claiming, chunking,
+//! and arithmetic order are untouched, so results stay bit-identical
+//! with `GEF_PROF` on or off.
 //!
 //! # Example
 //!
@@ -269,7 +269,7 @@ pub struct Options {
     /// run); hot inner loops such as per-leaf histogram builds would
     /// flood the bounded event log.
     pub chunk_events: bool,
-    /// Name for this region's per-task timeline events when profiling
+    /// Name for this region's per-task span records when profiling
     /// (`GEF_PROF`) is on — the label shown on each worker's track in
     /// the exported chrome trace (e.g. `"forest.hist_build"`). Unlabeled
     /// regions record as `"par.task"`. Ignored while profiling is off.
@@ -285,7 +285,7 @@ impl Options {
         }
     }
 
-    /// Set the timeline label for this region's per-task events.
+    /// Set the label for this region's per-task span records.
     pub fn with_label(mut self, label: &'static str) -> Options {
         self.label = Some(label);
         self
@@ -370,16 +370,23 @@ struct Region {
     /// inside tasks observe the same deadline as the coordinator.
     budget: gef_trace::budget::Budget,
     /// The dispatching thread's trace context, captured at dispatch.
-    /// Workers enter it so their recorder/timeline events attribute to
+    /// Workers enter it so their recorder events attribute to
     /// the request that launched the region (same discipline as the
     /// budget above).
     ctx: gef_trace::ctx::TraceCtx,
-    /// Timeline label for per-task begin/end events ([`Options::label`]).
+    /// How this region's tasks are tagged in the event ring.
+    tag: TaskTag,
+}
+
+/// How a region's tasks are tagged in the event ring.
+#[derive(Clone, Copy)]
+struct TaskTag {
+    /// Label for per-task span records ([`Options::label`]).
     label: Option<&'static str>,
-    /// Region id carried in per-task timeline event args.
+    /// Region id carried in per-task span fields.
     region_id: u64,
-    /// Whether profiling was on at dispatch (captured once so every
-    /// task of the region records — or none does).
+    /// Whether profiling detail was on at dispatch (captured once so
+    /// every task of the region records a span — or none does).
     prof: bool,
 }
 
@@ -402,33 +409,11 @@ impl Region {
                 // The claim → acknowledge window is what keeps the
                 // erased borrow live; see TaskPtr.
                 let task = unsafe { &*self.task.0 };
-                if self.prof {
-                    gef_trace::timeline::begin_with(
-                        self.label.unwrap_or("par.task"),
-                        &[
-                            ("region", self.region_id as f64),
-                            ("chunk", i as f64),
-                            ("of", self.n_tasks as f64),
-                        ],
-                    );
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| task(i)));
-                if self.prof {
-                    gef_trace::timeline::end(self.label.unwrap_or("par.task"));
-                }
-                match outcome {
+                match run_one(task, i, self.n_tasks, self.tag) {
                     Ok(()) => {
                         self.executed.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(payload) => {
-                        let rendered = payload_to_string(payload.as_ref());
-                        // Breadcrumb for incident dumps: the contained
-                        // panic, on the thread that caught it.
-                        gef_trace::recorder::note(
-                            gef_trace::recorder::Kind::Panic,
-                            "par.task_panicked",
-                            &rendered,
-                        );
+                    Err(rendered) => {
                         let mut slot = self.panic_payload.lock().unwrap_or_else(|e| e.into_inner());
                         if slot.is_none() {
                             *slot = Some(rendered);
@@ -519,11 +504,8 @@ fn ensure_workers(pool: &'static Pool, want: usize) {
             .name(format!("gef-par-{cur}"))
             .spawn(move || {
                 // Bind this thread to its logical worker id so its
-                // timeline track is `tid = cur + 1` at any GEF_THREADS
-                // — registered even while profiling is off, in case it
-                // turns on later in the process. The flight recorder
-                // uses the same tid scheme for its per-thread ring.
-                gef_trace::timeline::register_worker(cur);
+                // event ring records as `tid = cur + 1` at any
+                // GEF_THREADS, in dumps and Chrome traces alike.
                 gef_trace::recorder::register_worker(cur);
                 worker_loop(pool)
             });
@@ -544,6 +526,41 @@ pub fn prestart() {
     }
 }
 
+/// Run task `i` of `n_tasks` with any panic contained. At profiling
+/// detail the task is a span record; a panic leaves a recorder note
+/// (the breadcrumb incident dumps show, on the thread that caught it)
+/// and comes back rendered.
+fn run_one(
+    task: &(dyn Fn(usize) + Sync),
+    i: usize,
+    n_tasks: usize,
+    tag: TaskTag,
+) -> Result<(), String> {
+    let label = tag.label.unwrap_or("par.task");
+    let rec = tag.prof
+        && gef_trace::recorder::span_begin(
+            label,
+            &[
+                ("region", tag.region_id as f64),
+                ("chunk", i as f64),
+                ("of", n_tasks as f64),
+            ],
+        );
+    let outcome = catch_unwind(AssertUnwindSafe(|| task(i)));
+    if rec {
+        gef_trace::recorder::span_end(label);
+    }
+    outcome.map_err(|payload| {
+        let rendered = payload_to_string(payload.as_ref());
+        gef_trace::recorder::note(
+            gef_trace::recorder::Kind::Panic,
+            "par.task_panicked",
+            &rendered,
+        );
+        rendered
+    })
+}
+
 /// Core dispatch: run `task(i)` for every `i in 0..n_tasks`.
 ///
 /// Serial (a plain in-order loop on the calling thread) whenever the
@@ -560,39 +577,20 @@ fn run_tasks(n_tasks: usize, opts: Options, task: &(dyn Fn(usize) + Sync)) -> Re
     let t = threads();
     let prof = gef_trace::timeline::prof_enabled();
     if t <= 1 || n_tasks == 1 || gef_trace::fault::any_armed() {
-        let label = opts.label.unwrap_or("par.task");
-        let region_id = if prof {
-            REGION_ID.fetch_add(1, Ordering::Relaxed)
-        } else {
-            0
+        let tag = TaskTag {
+            label: opts.label,
+            region_id: if prof {
+                REGION_ID.fetch_add(1, Ordering::Relaxed)
+            } else {
+                0
+            },
+            prof,
         };
         for i in 0..n_tasks {
             if gef_trace::budget::cancel_requested() {
                 return Err(ParError::Cancelled);
             }
-            if prof {
-                gef_trace::timeline::begin_with(
-                    label,
-                    &[
-                        ("region", region_id as f64),
-                        ("chunk", i as f64),
-                        ("of", n_tasks as f64),
-                    ],
-                );
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| task(i)));
-            if prof {
-                gef_trace::timeline::end(label);
-            }
-            if let Err(payload) = outcome {
-                let rendered = payload_to_string(payload.as_ref());
-                gef_trace::recorder::note(
-                    gef_trace::recorder::Kind::Panic,
-                    "par.task_panicked",
-                    &rendered,
-                );
-                return Err(ParError::TaskPanicked { payload: rendered });
-            }
+            run_one(task, i, n_tasks, tag).map_err(|payload| ParError::TaskPanicked { payload })?;
         }
         return Ok(());
     }
@@ -652,9 +650,11 @@ fn run_tasks(n_tasks: usize, opts: Options, task: &(dyn Fn(usize) + Sync)) -> Re
         base_path,
         budget: gef_trace::budget::current(),
         ctx: gef_trace::ctx::current(),
-        label: opts.label,
-        region_id,
-        prof,
+        tag: TaskTag {
+            label: opts.label,
+            region_id,
+            prof,
+        },
     });
     {
         let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());

@@ -74,7 +74,7 @@
 //! | `GEF_SERVE_BREAKER_K` | consecutive fit failures to trip | 5 |
 //! | `GEF_SERVE_BREAKER_COOLDOWN_MS` | breaker open duration | 1000 |
 //! | `GEF_SERVE_SLOW_MS` | slow-request capture threshold (0 = off) | 0 |
-//! | `GEF_SERVE_PROFILE` | honor `/explain?profile=1` (enables timelines) | 0 |
+//! | `GEF_SERVE_PROFILE` | honor `/explain?profile=1` (turns profiling detail on) | 0 |
 
 pub mod http;
 pub mod server;
@@ -105,9 +105,9 @@ pub struct ServeConfig {
     /// trace-id-filtered slow-request capture under the incident
     /// directory (`GEF_SERVE_SLOW_MS`); 0 disables.
     pub slow_ms: u64,
-    /// Honor `/explain?profile=1` (`GEF_SERVE_PROFILE`): turns timeline
-    /// recording on at server start and returns the request's own
-    /// Chrome-trace fragment inline in the response.
+    /// Honor `/explain?profile=1` (`GEF_SERVE_PROFILE`): turns the event
+    /// ring's profiling detail on at server start and returns the
+    /// request's own Chrome-trace fragment inline in the response.
     pub profile: bool,
     /// Honor `x-gef-test` request headers (deliberate panics etc.).
     /// Never enabled from the environment — tests only.

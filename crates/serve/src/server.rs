@@ -254,7 +254,8 @@ impl Server {
         listener.set_nonblocking(true)?;
         if cfg.profile {
             // `/explain?profile=1` serves per-request timeline
-            // fragments; recording must be on for spans to exist.
+            // fragments; profiling detail adds the gef-par task spans
+            // and the room to keep a whole request.
             gef_trace::timeline::set_prof_enabled(true);
         }
         let shared = Arc::new(Shared {
@@ -459,8 +460,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
                 // Honor a well-formed client-supplied id (16 hex
                 // chars), mint otherwise. The scope makes the id reach
-                // every recorder entry, timeline span, and gef-par
-                // task this request produces.
+                // every recorder record, including the gef-par task
+                // spans, this request produces.
                 let tctx = ctx::TraceCtx::with_id(
                     req.header("x-gef-trace-id")
                         .and_then(ctx::parse_hex)
@@ -1328,8 +1329,8 @@ fn handle_explain(shared: &Shared, req: &Request, profile: bool) -> Response {
             }
             w.end_array();
             if profile {
-                // The request's own flame view: the merged timeline
-                // filtered down to spans stamped with this trace id
+                // The request's own flame view: the event rings
+                // filtered down to records stamped with this trace id
                 // (a complete Chrome-trace document, embeddable raw).
                 let trace = ctx::current_id();
                 w.key("profile");

@@ -37,13 +37,12 @@
 //! `false`, letting the optimizer delete instrumentation from hot paths
 //! entirely.
 //!
-//! Orthogonal to the aggregate registry, the [`timeline`] module records
-//! *time-resolved* per-thread profiles (gated by `GEF_PROF`, exported as
-//! Chrome Trace Event Format JSON) and [`mem`] holds the allocation
-//! counters fed by the `gef-prof` tracking allocator. The [`recorder`]
-//! module is the *always-on* complement: a bounded per-thread flight
-//! recorder of recent activity that incident dumps drain on failure,
-//! gated only by the `noop` feature.
+//! Orthogonal to the aggregate registry, the [`recorder`] module is the
+//! *always-on* per-thread event ring that incident dumps drain on
+//! failure, gated only by the `noop` feature. `GEF_PROF` raises its
+//! detail level, and [`timeline`] renders its records as Chrome Trace
+//! Event Format JSON. [`mem`] holds the allocation counters fed by the
+//! tracking allocator (`alloc-track` feature).
 //!
 //! # Example
 //!
@@ -311,15 +310,10 @@ impl Telemetry {
 
     /// Append an event with numeric fields (no-op while disabled). At most
     /// [`EVENT_CAP`] events are retained; beyond that only a drop count is
-    /// kept. While profiling is on ([`timeline::prof_enabled`]) the event
-    /// is also mirrored onto this thread's timeline as an instant, and the
-    /// always-on [`recorder`] keeps it in its bounded ring regardless of
-    /// `GEF_TRACE` / `GEF_PROF`.
+    /// kept. The always-on [`recorder`] keeps the event in its bounded
+    /// ring regardless of `GEF_TRACE`.
     pub fn event(&self, name: &str, fields: &[(&str, f64)]) {
         recorder::record(recorder::Kind::Event, name, fields);
-        if timeline::prof_enabled() {
-            timeline::instant(name, fields);
-        }
         if !enabled() {
             return;
         }
@@ -445,26 +439,21 @@ impl Telemetry {
             })
             .collect();
         if mem::tracking() {
-            // Surface the allocator totals whenever the gef-prof
-            // tracking allocator is feeding them (the `mem.*` namespace
-            // is excluded from CI determinism diffs, like `par.*`).
+            // Surface the allocator totals whenever the tracking
+            // allocator is feeding them (the `mem.*` namespace is
+            // excluded from CI determinism diffs, like `par.*`).
             let m = mem::stats();
-            gauges.push(report::GaugeStat {
-                name: "mem.allocs_total".to_string(),
-                value: m.allocs as f64,
-            });
-            gauges.push(report::GaugeStat {
-                name: "mem.bytes_allocated_total".to_string(),
-                value: m.bytes_allocated as f64,
-            });
-            gauges.push(report::GaugeStat {
-                name: "mem.in_use_bytes".to_string(),
-                value: m.in_use_bytes as f64,
-            });
-            gauges.push(report::GaugeStat {
-                name: "mem.peak_bytes".to_string(),
-                value: m.peak_bytes as f64,
-            });
+            for (name, value) in [
+                ("mem.allocs_total", m.allocs),
+                ("mem.bytes_allocated_total", m.bytes_allocated),
+                ("mem.in_use_bytes", m.in_use_bytes),
+                ("mem.peak_bytes", m.peak_bytes),
+            ] {
+                gauges.push(report::GaugeStat {
+                    name: name.to_string(),
+                    value: value as f64,
+                });
+            }
         }
         let log = self.events.lock().unwrap();
         TelemetryReport {
@@ -520,20 +509,25 @@ impl Telemetry {
         label: &str,
     ) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let safe: String = label
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let path = dir.join(format!("{safe}.json"));
+        let path = dir.join(format!("{}.json", file_label(label)));
         std::fs::write(&path, self.snapshot(label).to_json())?;
         Ok(path)
     }
+}
+
+/// `label` as a file-name stem: every char outside `[A-Za-z0-9._-]`
+/// becomes `_`.
+fn file_label(label: &str) -> String {
+    label
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
 }
 
 thread_local! {
@@ -546,7 +540,8 @@ thread_local! {
 ///
 /// Spans nest per thread: a span entered while another is open on the same
 /// thread is recorded under `parent_path/name`. While tracing is disabled,
-/// `enter` takes no clock reading and `drop` records nothing.
+/// `enter` builds no path and takes no clock reading, and the span only
+/// leaves its begin/end records in the flight [`recorder`].
 ///
 /// ```
 /// gef_trace::set_enabled(true);
@@ -562,42 +557,31 @@ thread_local! {
 /// ```
 #[must_use = "a span records on drop — bind it with `let _span = …`"]
 pub struct Span {
+    /// Set at enter iff aggregate recording ([`enabled`]) was on.
     start: Option<Instant>,
     path: String,
-    /// Aggregate recording ([`enabled`]) was on at enter.
-    trace: bool,
-    /// Timeline recording ([`timeline::prof_enabled`]) was on at enter.
-    prof: bool,
-    /// The flight [`recorder`] took a [`recorder::span_begin`] at enter
-    /// (it is always-on, so this is normally true; constant `false`
-    /// under the `noop` feature or while suppressed).
-    rec: bool,
-    /// Allocation counters at enter, when the tracking allocator is
-    /// installed — drop records the span-attributed deltas.
+    /// The span's name, kept iff the flight [`recorder`] took a
+    /// [`recorder::span_begin`] at enter (it is always-on, so this is
+    /// normally set; never under the `noop` feature or while
+    /// suppressed).
+    rec: Option<String>,
+    /// Allocation counters at enter, when tracing with the tracking
+    /// allocator installed — drop records the span-attributed deltas.
     mem0: Option<mem::MemStats>,
 }
 
 impl Span {
     /// Open a span named `name` (e.g. `"pipeline.gam_fit"`).
     ///
-    /// Active whenever aggregate tracing ([`enabled`]) *or* timeline
-    /// profiling ([`timeline::prof_enabled`]) is on: the former records
-    /// the duration histogram at the hierarchical path, the latter a
-    /// begin/end pair on this thread's timeline. With both off, `enter`
-    /// takes no clock reading and `drop` records nothing.
+    /// The flight [`recorder`] always records the begin/end pair. With
+    /// aggregate tracing ([`enabled`]) on, the span also records its
+    /// duration histogram at the hierarchical path.
     pub fn enter(name: &str) -> Span {
-        let trace = enabled();
-        let prof = timeline::prof_enabled();
-        // The flight recorder sees every span transition even with
-        // tracing and profiling both off (its ring is bounded, so this
-        // is fixed-cost).
-        let rec = recorder::span_begin(name);
-        if !trace && !prof {
+        let rec = recorder::span_begin(name, &[]).then(|| name.to_string());
+        if !enabled() {
             return Span {
                 start: None,
                 path: String::new(),
-                trace: false,
-                prof: false,
                 rec,
                 mem0: None,
             };
@@ -611,21 +595,11 @@ impl Span {
             stack.push(path.clone());
             path
         });
-        if prof {
-            timeline::begin(name);
-        }
-        let mem0 = if mem::tracking() {
-            Some(mem::stats())
-        } else {
-            None
-        };
         Span {
             start: Some(Instant::now()),
             path,
-            trace,
-            prof,
             rec,
-            mem0,
+            mem0: mem::tracking().then(mem::stats),
         }
     }
 
@@ -638,8 +612,16 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.rec {
-            recorder::span_end();
+        if let Some(name) = self.rec.take() {
+            if mem::tracking() && timeline::prof_enabled() {
+                let in_use = mem::stats().in_use_bytes as f64;
+                recorder::record(
+                    recorder::Kind::Counter,
+                    "heap.in_use_bytes",
+                    &[("value", in_use)],
+                );
+            }
+            recorder::span_end(&name);
         }
         if let Some(start) = self.start {
             let ns = start.elapsed().as_nanos() as u64;
@@ -648,32 +630,21 @@ impl Drop for Span {
             });
             if let Some(m0) = self.mem0 {
                 let m1 = mem::stats();
-                if self.trace {
-                    let g = global();
-                    g.record_value(
-                        &format!("mem.allocs/{}", self.path),
-                        m1.allocs.saturating_sub(m0.allocs),
-                    );
-                    g.record_value(
-                        &format!("mem.bytes/{}", self.path),
-                        m1.bytes_allocated.saturating_sub(m0.bytes_allocated),
-                    );
-                    let peak_rise = m1.peak_bytes.saturating_sub(m0.peak_bytes);
-                    if peak_rise > 0 {
-                        g.record_value(&format!("mem.peak_rise/{}", self.path), peak_rise);
-                    }
-                }
-                if self.prof {
-                    timeline::counter_sample("heap.in_use_bytes", m1.in_use_bytes as f64);
+                let g = global();
+                g.record_value(
+                    &format!("mem.allocs/{}", self.path),
+                    m1.allocs.saturating_sub(m0.allocs),
+                );
+                g.record_value(
+                    &format!("mem.bytes/{}", self.path),
+                    m1.bytes_allocated.saturating_sub(m0.bytes_allocated),
+                );
+                let peak_rise = m1.peak_bytes.saturating_sub(m0.peak_bytes);
+                if peak_rise > 0 {
+                    g.record_value(&format!("mem.peak_rise/{}", self.path), peak_rise);
                 }
             }
-            if self.prof {
-                let leaf = self.path.rsplit('/').next().unwrap_or(&self.path);
-                timeline::end(leaf);
-            }
-            if self.trace {
-                global().record_span_ns(&self.path, ns);
-            }
+            global().record_span_ns(&self.path, ns);
         }
     }
 }
@@ -748,10 +719,10 @@ macro_rules! counter {
     }};
 }
 
-// Tracing and profiling state is process-global, and enabling either
-// (set_enabled / timeline::set_prof_enabled) affects instrumentation
-// running on *any* thread — e.g. Telemetry::event mirrors onto the
-// timeline while profiling is on. In-crate tests that touch that state
+// Tracing, profiling and recorder state is process-global, and
+// enabling either switch (set_enabled / timeline::set_prof_enabled)
+// affects instrumentation running on *any* thread — e.g. profiling
+// raises every ring's capacity. In-crate tests that touch that state
 // therefore all serialise on this one lock.
 #[cfg(test)]
 pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());

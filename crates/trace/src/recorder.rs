@@ -1,34 +1,31 @@
-//! Always-on flight recorder: a bounded per-thread ring of recent
-//! pipeline activity, kept so that a failure with all opt-in telemetry
-//! **off** still leaves a black-box record to dump.
+//! The flight recorder: the workspace's one per-thread event ring.
 //!
-//! Where [`crate::Telemetry`] aggregates (gated by `GEF_TRACE`) and
-//! [`crate::timeline`] profiles (gated by `GEF_PROF`), the recorder is
-//! **never off in normal builds and never grows**: each thread owns a
-//! fixed [`RING_CAP`]-slot ring that overwrites its *oldest* entry on
-//! overflow, so the memory cost is constant and what survives is always
-//! the most recent window of activity — exactly what an incident dump
-//! wants.
+//! Every span transition, [`crate::Telemetry::event`], degradation,
+//! budget trip, fault fire, contained panic and store action lands
+//! here, with all opt-in telemetry **off**, so a failure always leaves
+//! a black-box record to dump. Incident dumps, slow-request captures
+//! and the Chrome traces of [`crate::timeline`] are all views over the
+//! same records.
 //!
-//! # What gets recorded
+//! # Detail level
 //!
-//! * span transitions ([`Kind::SpanBegin`] / [`Kind::SpanEnd`], hooked
-//!   from [`crate::Span`]);
-//! * every [`crate::Telemetry::event`] (mirrored before the `GEF_TRACE`
-//!   gate, so cold-path events land here even untraced);
-//! * degradation-ladder steps ([`Kind::Degradation`], from gef-core);
-//! * budget trips ([`Kind::Budget`], transition-only — see
-//!   [`crate::budget`]);
-//! * fault-injection fires ([`Kind::Fault`]);
-//! * worker panics ([`Kind::Panic`], from gef-par's containment paths).
+//! The ring is always on at coarse detail: each thread keeps its most
+//! recent [`RING_CAP`] records. `GEF_PROF`
+//! ([`crate::timeline::prof_enabled`]) raises the detail level:
+//! capacity grows to [`PROF_CAP`], gef-par records a span per task
+//! (fields `region`, `chunk`, `of`), and spans sample
+//! `heap.in_use_bytes` as [`Kind::Counter`] records when the tracking
+//! allocator is installed. At either level a full ring overwrites its
+//! *oldest* record and counts it, so memory stays bounded and what
+//! survives is the most recent window of activity.
 //!
 //! # Cost model
 //!
-//! The recorder is observation-only and lock-light: each append takes
-//! the calling thread's own uncontended mutex, stamps a timestamp and a
-//! global sequence number, and pushes into a pre-sized ring —
-//! fixed cost, no growth, no I/O. The only cross-thread contention is
-//! [`snapshot_last`] (incident time) and worker registration.
+//! Each append takes the calling thread's own uncontended mutex,
+//! stamps a timestamp and a global sequence number, and pushes into
+//! the ring, reusing the buffers of the record it overwrites: fixed
+//! cost, no I/O. The only cross-thread contention is a snapshot (dump
+//! or export time) and first-use registration.
 //!
 //! # Disabling
 //!
@@ -40,10 +37,10 @@
 //!
 //! # Thread ids
 //!
-//! Same logical scheme as [`crate::timeline`]: gef-par worker `k` is
-//! `tid = k + 1` (via [`register_worker`]), the first unregistered
-//! thread to record claims `tid = 0` (`main`), later unregistered
-//! threads get `tid = 1000 + n`.
+//! Tids are logical, not OS ids, so the same worker index is the same
+//! track at any `GEF_THREADS`: gef-par worker `k` is `tid = k + 1` (via
+//! [`register_worker`]), the first unregistered thread to record claims
+//! `tid = 0` (`main`), later unregistered threads get `tid = 1000 + n`.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -51,19 +48,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Ring capacity per thread. On overflow the *oldest* record is
-/// overwritten (and counted), so each thread always holds its most
-/// recent `RING_CAP` records.
+/// Ring capacity per thread at coarse detail. On overflow the *oldest*
+/// record is overwritten (and counted), so each thread always holds
+/// its most recent records.
 pub const RING_CAP: usize = 256;
 
+/// Ring capacity per thread while `GEF_PROF` raises the detail level.
+pub const PROF_CAP: usize = 1 << 16;
+
 /// What kind of activity a [`Record`] captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kind {
     /// A [`crate::Telemetry::event`] mirror.
+    #[default]
     Event,
-    /// A [`crate::Span`] was entered.
+    /// A [`crate::Span`] or (at `GEF_PROF` detail) a gef-par task was
+    /// entered.
     SpanBegin,
-    /// A [`crate::Span`] closed.
+    /// A span or task closed.
     SpanEnd,
     /// A degradation-ladder step (gef-core recovery).
     Degradation,
@@ -76,6 +78,9 @@ pub enum Kind {
     /// An artifact-store durability action (quarantine, recovery,
     /// cache eviction, incident pruning — from gef-store/gef-core).
     Store,
+    /// A counter sample (`GEF_PROF` detail): the named track shows the
+    /// record's `value` field from its timestamp on.
+    Counter,
 }
 
 impl Kind {
@@ -90,20 +95,21 @@ impl Kind {
             Kind::Fault => "fault",
             Kind::Panic => "panic",
             Kind::Store => "store",
+            Kind::Counter => "counter",
         }
     }
 }
 
 /// One recorded activity, as returned by [`snapshot_last`] (thread
-/// identity attached at snapshot time).
-#[derive(Debug, Clone)]
+/// identity as the ring had it at append time).
+#[derive(Debug, Clone, Default)]
 pub struct Record {
     /// Activity kind.
     pub kind: Kind,
     /// Logical thread id (see module docs).
     pub tid: u64,
     /// Logical thread name (`main`, `gef-par-0`, `thread-1`, …).
-    pub thread: String,
+    pub thread: Arc<str>,
     /// Nanoseconds since the recorder's process-wide epoch.
     pub ts_ns: u64,
     /// Global sequence number (total order tie-break).
@@ -119,29 +125,52 @@ pub struct Record {
     pub trace: u64,
 }
 
-struct RecEvent {
-    kind: Kind,
-    ts_ns: u64,
-    seq: u64,
-    name: String,
-    fields: Vec<(String, f64)>,
-    detail: Option<String>,
-    trace: u64,
-}
-
 struct Ring {
     tid: u64,
-    name: String,
-    events: VecDeque<RecEvent>,
+    name: Arc<str>,
+    events: VecDeque<Record>,
     overwritten: u64,
 }
 
 impl Ring {
-    fn push(&mut self, ev: RecEvent) {
-        if self.events.len() >= RING_CAP {
+    /// Append a record, overwriting the oldest one when the ring is
+    /// full. The overwritten record's buffers are reused, so a full ring
+    /// appends a name and fields without allocating.
+    fn push(&mut self, kind: Kind, name: &str, fields: &[(&str, f64)], detail: Option<&str>) {
+        let cap = if crate::timeline::prof_enabled() {
+            PROF_CAP
+        } else {
+            RING_CAP
+        };
+        // A ring filled at profiling detail shrinks back to RING_CAP on
+        // its first append after GEF_PROF turns off.
+        while self.events.len() > cap {
             self.events.pop_front();
             self.overwritten += 1;
         }
+        let recycled = if self.events.len() == cap {
+            self.overwritten += 1;
+            self.events.pop_front()
+        } else {
+            None
+        };
+        let mut ev = recycled.unwrap_or_default();
+        ev.kind = kind;
+        ev.tid = self.tid;
+        // A recycled record usually names this ring already; skipping
+        // the clone keeps two atomic ops off every append.
+        if !Arc::ptr_eq(&ev.thread, &self.name) {
+            ev.thread = Arc::clone(&self.name);
+        }
+        ev.ts_ns = now_ns();
+        ev.seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        ev.name.clear();
+        ev.name.push_str(name);
+        ev.fields.clear();
+        ev.fields
+            .extend(fields.iter().map(|(k, v)| (k.to_string(), *v)));
+        ev.detail = detail.map(str::to_string);
+        ev.trace = crate::ctx::current_id();
         self.events.push_back(ev);
     }
 }
@@ -157,12 +186,12 @@ static SUPPRESSED: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
 // First unregistered thread claims tid 0 ("main"); later unregistered
-// threads get 1000, 1001, … — mirrors crate::timeline's scheme.
+// threads get 1000, 1001, …
 static MAIN_CLAIMED: AtomicBool = AtomicBool::new(false);
 static EXTRA_TID: AtomicU64 = AtomicU64::new(1000);
 
-/// Recorder's own monotonic origin (independent of the timeline and
-/// budget clocks; first use wins).
+/// The recorder's monotonic origin (independent of the budget clock;
+/// first use wins).
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -174,20 +203,21 @@ fn now_ns() -> u64 {
 
 thread_local! {
     static REC_RING: RefCell<Option<SharedRing>> = const { RefCell::new(None) };
-    // Names of spans currently open on this thread (innermost last) —
-    // lets SpanEnd carry its name without the Span guard storing one.
-    static OPEN_SPANS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+}
+
+fn worker_identity(k: usize) -> (u64, Arc<str>) {
+    ((k as u64) + 1, format!("gef-par-{k}").into())
 }
 
 fn new_ring(worker: Option<usize>) -> SharedRing {
     let (tid, name) = match worker {
-        Some(k) => ((k as u64) + 1, format!("gef-par-{k}")),
+        Some(k) => worker_identity(k),
         None => {
             if !MAIN_CLAIMED.swap(true, Ordering::Relaxed) {
-                (0, "main".to_string())
+                (0, "main".into())
             } else {
                 let tid = EXTRA_TID.fetch_add(1, Ordering::Relaxed);
-                (tid, format!("thread-{}", tid - 1000))
+                (tid, format!("thread-{}", tid - 1000).into())
             }
         }
     };
@@ -204,12 +234,12 @@ fn new_ring(worker: Option<usize>) -> SharedRing {
     ring
 }
 
-fn with_ring(f: impl FnOnce(&mut Ring)) {
+fn append(kind: Kind, name: &str, fields: &[(&str, f64)], detail: Option<&str>) {
     REC_RING.with(|tl| {
         let mut slot = tl.borrow_mut();
         let arc = slot.get_or_insert_with(|| new_ring(None));
         let mut ring = arc.lock().unwrap_or_else(|e| e.into_inner());
-        f(&mut ring);
+        ring.push(kind, name, fields, detail);
     });
 }
 
@@ -236,19 +266,6 @@ pub fn set_suppressed(on: bool) {
     SUPPRESSED.store(on, Ordering::Relaxed);
 }
 
-fn append(kind: Kind, name: &str, fields: &[(&str, f64)], detail: Option<&str>) {
-    let ev = RecEvent {
-        kind,
-        ts_ns: now_ns(),
-        seq: SEQ.fetch_add(1, Ordering::Relaxed),
-        name: name.to_string(),
-        fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        detail: detail.map(str::to_string),
-        trace: crate::ctx::current_id(),
-    };
-    with_ring(|r| r.push(ev));
-}
-
 /// Record an activity with numeric fields. No-op while [`active`] is
 /// false.
 #[inline]
@@ -267,47 +284,41 @@ pub fn note(kind: Kind, name: &str, detail: &str) {
     }
 }
 
-/// Record a span entry on this thread; pair with [`span_end`].
+/// Record a span entry on this thread, with optional numeric fields
+/// (gef-par tasks carry `region`/`chunk`/`of`); pair with [`span_end`].
 ///
 /// Returns whether the entry was recorded — callers must invoke
-/// [`span_end`] on close exactly when this returned `true`, so the
-/// recorder's per-thread open-span stack stays balanced.
+/// [`span_end`] on close exactly when this returned `true`, so every
+/// thread's begins and ends stay balanced.
 #[inline]
 #[must_use = "call span_end on close iff this returned true"]
-pub fn span_begin(name: &str) -> bool {
-    if !active() {
-        return false;
+pub fn span_begin(name: &str, fields: &[(&str, f64)]) -> bool {
+    let on = active();
+    if on {
+        append(Kind::SpanBegin, name, fields, None);
     }
-    OPEN_SPANS.with(|s| s.borrow_mut().push(name.to_string()));
-    append(Kind::SpanBegin, name, &[], None);
-    true
+    on
 }
 
-/// Record the close of the innermost span opened with [`span_begin`]
-/// on this thread.
+/// Record the close of span `name`, opened on this thread with
+/// [`span_begin`].
 #[inline]
-pub fn span_end() {
-    let name = OPEN_SPANS.with(|s| s.borrow_mut().pop());
-    if let Some(name) = name {
-        append(Kind::SpanEnd, &name, &[], None);
-    }
+pub fn span_end(name: &str) {
+    append(Kind::SpanEnd, name, &[], None);
 }
 
 /// Bind the calling thread to logical worker id `index` (gef-par spawn
 /// order): its ring records as `tid = index + 1`, named
-/// `gef-par-<index>`. Called by the gef-par pool at worker spawn.
+/// `gef-par-<index>`. Called once by the gef-par pool at worker spawn.
 pub fn register_worker(index: usize) {
     REC_RING.with(|tl| {
         let mut slot = tl.borrow_mut();
         match slot.as_ref() {
             Some(arc) => {
                 let mut ring = arc.lock().unwrap_or_else(|e| e.into_inner());
-                ring.tid = (index as u64) + 1;
-                ring.name = format!("gef-par-{index}");
+                (ring.tid, ring.name) = worker_identity(index);
             }
-            None => {
-                *slot = Some(new_ring(Some(index)));
-            }
+            None => *slot = Some(new_ring(Some(index))),
         }
     });
 }
@@ -328,27 +339,18 @@ pub fn snapshot_trace(n: usize, trace: u64) -> Vec<Record> {
 
 fn snapshot_filtered(n: usize, trace: Option<u64>) -> Vec<Record> {
     let mut merged: Vec<Record> = Vec::new();
-    {
-        let rings = registry().lock().unwrap_or_else(|e| e.into_inner());
-        for ring in rings.iter() {
-            let r = ring.lock().unwrap_or_else(|e| e.into_inner());
-            merged.extend(
-                r.events
-                    .iter()
-                    .filter(|e| trace.is_none_or(|t| e.trace == t))
-                    .map(|e| Record {
-                        kind: e.kind,
-                        tid: r.tid,
-                        thread: r.name.clone(),
-                        ts_ns: e.ts_ns,
-                        seq: e.seq,
-                        name: e.name.clone(),
-                        fields: e.fields.clone(),
-                        detail: e.detail.clone(),
-                        trace: e.trace,
-                    }),
-            );
-        }
+    for ring in registry().lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        let r = ring.lock().unwrap_or_else(|e| e.into_inner());
+        // Each ring is in (ts_ns, seq) order, so the global last `n`
+        // are among every ring's own last `n`.
+        merged.extend(
+            r.events
+                .iter()
+                .rev()
+                .filter(|e| trace.is_none_or(|t| e.trace == t))
+                .take(n)
+                .cloned(),
+        );
     }
     merged.sort_by_key(|r| (r.ts_ns, r.seq));
     if merged.len() > n {
@@ -357,28 +359,42 @@ fn snapshot_filtered(n: usize, trace: Option<u64>) -> Vec<Record> {
     merged
 }
 
-/// Total records currently held across all threads.
-pub fn event_count() -> usize {
+fn sum_rings(f: impl Fn(&Ring) -> u64) -> u64 {
     let rings = registry().lock().unwrap_or_else(|e| e.into_inner());
     rings
         .iter()
-        .map(|r| r.lock().unwrap_or_else(|e| e.into_inner()).events.len())
+        .map(|r| f(&r.lock().unwrap_or_else(|e| e.into_inner())))
         .sum()
 }
 
-/// Total records overwritten (rings at [`RING_CAP`]) across all
-/// threads since the last [`reset`].
+/// Total records currently held across all threads.
+pub fn event_count() -> usize {
+    sum_rings(|r| r.events.len() as u64) as usize
+}
+
+/// Total records overwritten (full rings) across all threads since the
+/// last [`reset`].
 pub fn overwritten_total() -> u64 {
+    sum_rings(|r| r.overwritten)
+}
+
+/// Sorted logical thread ids that currently hold at least one record.
+pub fn tids_with_events() -> Vec<u64> {
     let rings = registry().lock().unwrap_or_else(|e| e.into_inner());
-    rings
+    let mut tids: Vec<u64> = rings
         .iter()
-        .map(|r| r.lock().unwrap_or_else(|e| e.into_inner()).overwritten)
-        .sum()
+        .map(|r| r.lock().unwrap_or_else(|e| e.into_inner()))
+        .filter(|r| !r.events.is_empty())
+        .map(|r| r.tid)
+        .collect();
+    tids.sort_unstable();
+    tids.dedup();
+    tids
 }
 
 /// Clear every thread's records and overwrite counts (thread/tid
-/// registrations are kept). Used by tests and by sweeps that archive
-/// one incident per schedule.
+/// registrations and open spans are kept). Used by tests, by sweeps
+/// that archive one incident per schedule, and to scope a profile.
 pub fn reset() {
     let rings = registry().lock().unwrap_or_else(|e| e.into_inner());
     for ring in rings.iter() {
@@ -422,14 +438,33 @@ mod tests {
     }
 
     #[test]
+    fn profiling_detail_raises_capacity_and_coarse_trims_back() {
+        with_recorder(|| {
+            crate::timeline::set_prof_enabled(true);
+            for _ in 0..(RING_CAP * 2) {
+                record(Kind::Event, "wide", &[]);
+            }
+            let kept = |name: &str| {
+                snapshot_last(usize::MAX)
+                    .iter()
+                    .filter(|r| r.name == name)
+                    .count()
+            };
+            assert_eq!(kept("wide"), RING_CAP * 2, "PROF_CAP holds them all");
+            crate::timeline::set_prof_enabled(false);
+            record(Kind::Event, "narrow", &[]);
+            assert_eq!(kept("wide") + kept("narrow"), RING_CAP);
+        });
+    }
+
+    #[test]
     fn suppressed_records_nothing() {
         with_recorder(|| {
             set_suppressed(true);
             assert!(!active());
             record(Kind::Event, "ghost", &[]);
             note(Kind::Panic, "ghost.note", "boom");
-            assert!(!span_begin("ghost.span"));
-            span_end();
+            assert!(!span_begin("ghost.span", &[]));
             set_suppressed(false);
             assert!(snapshot_last(usize::MAX)
                 .iter()
@@ -438,24 +473,24 @@ mod tests {
     }
 
     #[test]
-    fn span_transitions_carry_names() {
+    fn span_transitions_carry_names_and_fields() {
         with_recorder(|| {
-            assert!(span_begin("outer"));
-            assert!(span_begin("inner"));
-            span_end();
-            span_end();
-            let names: Vec<(Kind, String)> = snapshot_last(usize::MAX)
+            assert!(span_begin("outer", &[]));
+            assert!(span_begin("inner", &[("chunk", 3.0)]));
+            span_end("inner");
+            span_end("outer");
+            let spans: Vec<(Kind, String, usize)> = snapshot_last(usize::MAX)
                 .into_iter()
                 .filter(|r| r.name == "outer" || r.name == "inner")
-                .map(|r| (r.kind, r.name))
+                .map(|r| (r.kind, r.name, r.fields.len()))
                 .collect();
             assert_eq!(
-                names,
+                spans,
                 vec![
-                    (Kind::SpanBegin, "outer".to_string()),
-                    (Kind::SpanBegin, "inner".to_string()),
-                    (Kind::SpanEnd, "inner".to_string()),
-                    (Kind::SpanEnd, "outer".to_string()),
+                    (Kind::SpanBegin, "outer".to_string(), 0),
+                    (Kind::SpanBegin, "inner".to_string(), 1),
+                    (Kind::SpanEnd, "inner".to_string(), 0),
+                    (Kind::SpanEnd, "outer".to_string(), 0),
                 ]
             );
         });

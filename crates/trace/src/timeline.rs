@@ -1,72 +1,47 @@
-//! Time-resolved profiling: per-thread timelines exported as Chrome
-//! Trace Event Format JSON.
+//! Time-resolved profiling: the `GEF_PROF` switch, and a Chrome Trace
+//! Event Format renderer over the flight [`recorder`]'s records.
 //!
 //! Where the rest of `gef-trace` records *aggregates* (a span's count
-//! and duration distribution), this module records *when* things ran
+//! and duration distribution), a Chrome trace shows *when* things ran
 //! and on *which thread* — enough to reconstruct a per-worker gantt in
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) and see a
-//! lopsided histogram-build region or a deadline trip as a shape, not a
-//! sum.
+//! lopsided histogram-build region or a deadline trip as a shape, not
+//! a sum.
 //!
 //! # Enabling
 //!
-//! Recording is **off by default** and every hook first checks
-//! [`prof_enabled`] (a single relaxed atomic load). It turns on via the
-//! `GEF_PROF` environment variable:
+//! `GEF_PROF` raises the recorder's detail level (see
+//! [`recorder`]'s module docs): larger per-thread rings, gef-par task
+//! spans and heap counter samples. It is resolved once into an atomic:
 //!
 //! | `GEF_PROF` | effect |
 //! |---|---|
-//! | unset, `""`, `0`, `off`, `false` | disabled (default) |
-//! | anything else (`1`, `on`, …) | record timelines |
+//! | unset, `""`, `0`, `off`, `false` | coarse detail (default) |
+//! | anything else (`1`, `on`, …) | profiling detail |
 //!
 //! Tests and embedders can override the environment with
 //! [`set_prof_enabled`]. The `noop` cargo feature pins [`prof_enabled`]
 //! to a constant `false`, exactly like [`crate::enabled`].
 //!
-//! # Model
-//!
-//! Each thread owns a bounded buffer of timestamped events (begin/end
-//! from [`crate::Span`], instants mirrored from
-//! [`crate::Telemetry::event`], per-task begin/end pairs from gef-par
-//! regions, and counter samples such as heap-in-use). Buffers are
-//! registered in a process-wide list at first use and survive their
-//! thread, so worker events are still there after the pool idles. A
-//! buffer that fills up ([`TIMELINE_CAP`]) drops *new* events — never
-//! recorded ones — and counts the drops, so begin/end pairing of what
-//! was kept stays intact.
-//!
-//! # Thread ids
-//!
-//! Chrome traces key tracks by `tid`. To make tids meaningful **and
-//! stable across runs** they are assigned logically, not from the OS:
-//!
-//! * gef-par worker `k` (spawn order) registers as `tid = k + 1` via
-//!   [`register_worker`] — the same worker index is the same track at
-//!   any `GEF_THREADS`;
-//! * the first *unregistered* thread to record (the coordinator in
-//!   every gef binary) claims `tid = 0`, named `main`;
-//! * any further unregistered thread gets `tid = 1000 + n` in first-use
-//!   order.
-//!
 //! # Export
 //!
-//! [`chrome_trace_json`] merges every buffer into one Chrome Trace
-//! Event Format document (`ph` `B`/`E`/`i`/`C` plus `thread_name`
-//! metadata, `ts` in microseconds); [`emit`] writes it under
+//! [`chrome_trace_json`] renders every thread's records as one Chrome
+//! Trace Event Format document (`ph` `B`/`E`/`i`/`C` plus `thread_name`
+//! metadata, `ts` in microseconds); [`chrome_trace_fragment`] keeps one
+//! request's records; [`emit`] writes the document under
 //! `results/profiles/`. Load the file in Perfetto or `chrome://tracing`
-//! as-is.
+//! as-is. Tracks are keyed by the recorder's logical tids, so a thread
+//! has the same tid here as in incident dumps and slow captures.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::json::JsonWriter;
+use crate::recorder::{self, Kind, Record};
 
-/// Maximum retained timeline events per thread; beyond this, new events
-/// are dropped (and counted) so already-recorded begin/end pairs stay
-/// balanced.
-pub const TIMELINE_CAP: usize = 1 << 16;
+// Profiles and incident dumps share the recorder's records, so clearing
+// and listing them goes through the recorder too.
+pub use crate::recorder::{reset, tids_with_events};
 
 // 0 = uninitialised (read GEF_PROF on first use), 1 = off, 2 = on.
 static PROF: AtomicU8 = AtomicU8::new(0);
@@ -81,7 +56,7 @@ fn prof_from_env() -> bool {
     }
 }
 
-/// Whether timeline recording is on (resolving `GEF_PROF` on first
+/// Whether profiling detail is on (resolving `GEF_PROF` on first
 /// call). With the `noop` cargo feature this is a constant `false`.
 #[inline(always)]
 pub fn prof_enabled() -> bool {
@@ -99,283 +74,36 @@ pub fn prof_enabled() -> bool {
     }
 }
 
-/// Force timeline recording on or off, overriding `GEF_PROF`.
+/// Force profiling detail on or off, overriding `GEF_PROF`.
 pub fn set_prof_enabled(on: bool) {
     PROF.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Process-wide monotonic origin for timeline timestamps (first use
-/// wins; independent of the budget clock so arming a deadline never
-/// shifts profile timestamps).
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
-
-// Global tie-break sequence so merged events sort deterministically
-// even when two threads record in the same nanosecond.
-static SEQ: AtomicU64 = AtomicU64::new(0);
-
-#[derive(Clone)]
-struct TlEvent {
-    /// Chrome phase: b'B' (begin), b'E' (end), b'i' (instant), b'C' (counter).
-    ph: u8,
-    ts_ns: u64,
-    seq: u64,
-    name: String,
-    args: Vec<(String, f64)>,
-    /// Trace id of the request context active at record time
-    /// ([`crate::ctx`]); `0` outside any request scope.
-    trace: u64,
-}
-
-struct ThreadBuf {
-    tid: u64,
-    name: String,
-    events: Vec<TlEvent>,
-    dropped: u64,
-}
-
-impl ThreadBuf {
-    fn push(&mut self, ph: u8, name: &str, args: &[(&str, f64)]) {
-        if self.events.len() >= TIMELINE_CAP {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(TlEvent {
-            ph,
-            ts_ns: now_ns(),
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            name: name.to_string(),
-            args: args.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            trace: crate::ctx::current_id(),
-        });
-    }
-}
-
-type SharedBuf = Arc<Mutex<ThreadBuf>>;
-
-fn registry() -> &'static Mutex<Vec<SharedBuf>> {
-    static REGISTRY: OnceLock<Mutex<Vec<SharedBuf>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-// The first unregistered thread to record claims tid 0 ("main");
-// later unregistered threads get 1000, 1001, … in first-use order.
-static MAIN_CLAIMED: AtomicBool = AtomicBool::new(false);
-static EXTRA_TID: AtomicU64 = AtomicU64::new(1000);
-
-thread_local! {
-    static TL_BUF: RefCell<Option<SharedBuf>> = const { RefCell::new(None) };
-}
-
-fn new_thread_buf(worker: Option<usize>) -> SharedBuf {
-    let (tid, name) = match worker {
-        Some(k) => ((k as u64) + 1, format!("gef-par-{k}")),
-        None => {
-            if !MAIN_CLAIMED.swap(true, Ordering::Relaxed) {
-                (0, "main".to_string())
-            } else {
-                let tid = EXTRA_TID.fetch_add(1, Ordering::Relaxed);
-                (tid, format!("thread-{}", tid - 1000))
-            }
-        }
-    };
-    let buf = Arc::new(Mutex::new(ThreadBuf {
-        tid,
-        name,
-        events: Vec::new(),
-        dropped: 0,
-    }));
-    registry()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(Arc::clone(&buf));
-    buf
-}
-
-fn with_buf(f: impl FnOnce(&mut ThreadBuf)) {
-    TL_BUF.with(|tl| {
-        let mut slot = tl.borrow_mut();
-        let arc = slot.get_or_insert_with(|| new_thread_buf(None));
-        let mut buf = arc.lock().unwrap_or_else(|e| e.into_inner());
-        f(&mut buf);
-    });
-}
-
-/// Bind the calling thread to logical worker id `index` (gef-par spawn
-/// order): its timeline track becomes `tid = index + 1`, named
-/// `gef-par-<index>`.
+/// Render every thread's recorder records as one Chrome Trace Event
+/// Format document.
 ///
-/// Called by the gef-par pool at worker spawn *unconditionally* — even
-/// while profiling is off — so tids are already right if recording is
-/// enabled later in the process.
-pub fn register_worker(index: usize) {
-    TL_BUF.with(|tl| {
-        let mut slot = tl.borrow_mut();
-        match slot.as_ref() {
-            Some(arc) => {
-                let mut buf = arc.lock().unwrap_or_else(|e| e.into_inner());
-                buf.tid = (index as u64) + 1;
-                buf.name = format!("gef-par-{index}");
-            }
-            None => {
-                *slot = Some(new_thread_buf(Some(index)));
-            }
-        }
-    });
-}
-
-/// Record a duration-begin event (`ph: "B"`) on this thread's timeline.
-/// Pair with [`end`]. No-op while [`prof_enabled`] is false.
-#[inline]
-pub fn begin(name: &str) {
-    if prof_enabled() {
-        with_buf(|b| b.push(b'B', name, &[]));
-    }
-}
-
-/// [`begin`] with numeric arguments (chunk index, region id, …) that
-/// show in the trace viewer's detail pane.
-#[inline]
-pub fn begin_with(name: &str, args: &[(&str, f64)]) {
-    if prof_enabled() {
-        with_buf(|b| b.push(b'B', name, args));
-    }
-}
-
-/// Record the duration-end event (`ph: "E"`) matching the innermost
-/// open [`begin`] of the same name on this thread. No-op while
-/// [`prof_enabled`] is false.
-#[inline]
-pub fn end(name: &str) {
-    if prof_enabled() {
-        with_buf(|b| b.push(b'E', name, &[]));
-    }
-}
-
-/// Record a thread-scoped instant event (`ph: "i"`). No-op while
-/// [`prof_enabled`] is false.
-#[inline]
-pub fn instant(name: &str, args: &[(&str, f64)]) {
-    if prof_enabled() {
-        with_buf(|b| b.push(b'i', name, args));
-    }
-}
-
-/// Record a counter sample (`ph: "C"`): the named counter track shows
-/// `value` from this timestamp on. No-op while [`prof_enabled`] is
-/// false.
-#[inline]
-pub fn counter_sample(name: &str, value: f64) {
-    if prof_enabled() {
-        with_buf(|b| b.push(b'C', name, &[("value", value)]));
-    }
-}
-
-/// Clear every thread's recorded events and drop counts (thread/tid
-/// registrations are kept). Intended for tests and for reusing one
-/// process for several independently exported profiles.
-pub fn reset() {
-    let bufs = registry().lock().unwrap_or_else(|e| e.into_inner());
-    for buf in bufs.iter() {
-        let mut b = buf.lock().unwrap_or_else(|e| e.into_inner());
-        b.events.clear();
-        b.dropped = 0;
-    }
-}
-
-/// Total events currently recorded across all threads.
-pub fn event_count() -> usize {
-    let bufs = registry().lock().unwrap_or_else(|e| e.into_inner());
-    bufs.iter()
-        .map(|b| b.lock().unwrap_or_else(|e| e.into_inner()).events.len())
-        .sum()
-}
-
-/// Total events dropped (buffers at [`TIMELINE_CAP`]) across all threads.
-pub fn dropped_total() -> u64 {
-    let bufs = registry().lock().unwrap_or_else(|e| e.into_inner());
-    bufs.iter()
-        .map(|b| b.lock().unwrap_or_else(|e| e.into_inner()).dropped)
-        .sum()
-}
-
-/// Sorted logical thread ids that currently hold at least one event.
-pub fn tids_with_events() -> Vec<u64> {
-    let bufs = registry().lock().unwrap_or_else(|e| e.into_inner());
-    let mut tids: Vec<u64> = bufs
-        .iter()
-        .map(|b| b.lock().unwrap_or_else(|e| e.into_inner()))
-        .filter(|b| !b.events.is_empty())
-        .map(|b| b.tid)
-        .collect();
-    tids.sort_unstable();
-    tids.dedup();
-    tids
-}
-
-/// Serialize every thread's timeline as one Chrome Trace Event Format
-/// document.
-///
-/// The document is an object with a `traceEvents` array — `thread_name`
-/// / `thread_sort_index` metadata first, then all events merged and
-/// sorted by timestamp (`ts` in microseconds, tie-broken by record
-/// order) — plus a top-level `droppedEvents` count. It loads directly
-/// in `chrome://tracing` and Perfetto.
+/// The document is an object with a `traceEvents` array —
+/// `thread_name` / `thread_sort_index` metadata first, then all records
+/// in global (timestamp, sequence) order, `ts` in microseconds — plus a
+/// top-level `droppedEvents` count of the records the rings overwrote.
+/// It loads directly in `chrome://tracing` and Perfetto.
 pub fn chrome_trace_json() -> String {
-    render_chrome_trace(None)
+    chrome_trace(&recorder::snapshot_last(usize::MAX))
 }
 
-/// Like [`chrome_trace_json`], but keeping only events stamped with
+/// Like [`chrome_trace_json`], but keeping only records stamped with
 /// `trace` (see [`crate::ctx`]) — one request's stage and task spans
 /// across every thread, as a loadable Chrome-trace fragment. Threads
-/// with no matching events are omitted entirely.
+/// with no matching records are omitted entirely.
 pub fn chrome_trace_fragment(trace: u64) -> String {
-    render_chrome_trace(Some(trace))
+    chrome_trace(&recorder::snapshot_trace(usize::MAX, trace))
 }
 
-fn render_chrome_trace(filter: Option<u64>) -> String {
-    struct ThreadSnap {
-        tid: u64,
-        name: String,
-        events: Vec<TlEvent>,
-    }
-    let (mut threads, dropped) = {
-        let bufs = registry().lock().unwrap_or_else(|e| e.into_inner());
-        let mut threads = Vec::with_capacity(bufs.len());
-        let mut dropped = 0u64;
-        for buf in bufs.iter() {
-            let b = buf.lock().unwrap_or_else(|e| e.into_inner());
-            dropped += b.dropped;
-            let events: Vec<TlEvent> = b
-                .events
-                .iter()
-                .filter(|e| filter.is_none_or(|t| e.trace == t))
-                .cloned()
-                .collect();
-            if filter.is_some() && events.is_empty() {
-                continue;
-            }
-            threads.push(ThreadSnap {
-                tid: b.tid,
-                name: b.name.clone(),
-                events,
-            });
-        }
-        (threads, dropped)
-    };
-    threads.sort_by_key(|t| t.tid);
-
-    let mut merged: Vec<(u64, TlEvent)> = Vec::new();
-    for t in &threads {
-        merged.extend(t.events.iter().map(|e| (t.tid, e.clone())));
-    }
-    merged.sort_by_key(|(_, e)| (e.ts_ns, e.seq));
+/// Render `records` (globally ordered, as a recorder snapshot returns
+/// them) as a Chrome Trace Event Format document; see
+/// [`chrome_trace_json`].
+pub fn chrome_trace(records: &[Record]) -> String {
+    let threads: BTreeMap<u64, &str> = records.iter().map(|r| (r.tid, &*r.thread)).collect();
 
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -395,44 +123,54 @@ fn render_chrome_trace(filter: Option<u64>) -> String {
         w.end_object();
     }
     meta(&mut w, "process_name", 0, |w| w.field_str("name", "gef"));
-    for t in &threads {
-        meta(&mut w, "thread_name", t.tid, |w| {
-            w.field_str("name", &t.name);
-        });
-        meta(&mut w, "thread_sort_index", t.tid, |w| {
-            w.field_f64("sort_index", t.tid as f64);
+    for (&tid, name) in &threads {
+        meta(&mut w, "thread_name", tid, |w| w.field_str("name", name));
+        meta(&mut w, "thread_sort_index", tid, |w| {
+            w.field_f64("sort_index", tid as f64);
         });
     }
-    for (tid, e) in &merged {
+    // Open spans per tid: an end whose begin the ring overwrote would
+    // close a slice the viewer never opened, so it is skipped.
+    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+    for r in records {
+        let depth = open.entry(r.tid).or_default();
+        let ph = match r.kind {
+            Kind::SpanBegin => {
+                *depth += 1;
+                "B"
+            }
+            Kind::SpanEnd if *depth == 0 => continue,
+            Kind::SpanEnd => {
+                *depth -= 1;
+                "E"
+            }
+            Kind::Counter => "C",
+            _ => "i",
+        };
         w.begin_object();
-        w.field_str("name", &e.name);
-        w.field_str(
-            "ph",
-            match e.ph {
-                b'B' => "B",
-                b'E' => "E",
-                b'C' => "C",
-                _ => "i",
-            },
-        );
+        w.field_str("name", &r.name);
+        w.field_str("ph", ph);
         // Chrome trace timestamps are microseconds.
-        w.field_f64("ts", e.ts_ns as f64 / 1_000.0);
+        w.field_f64("ts", r.ts_ns as f64 / 1_000.0);
         w.field_u64("pid", 1);
-        w.field_u64("tid", *tid);
-        if e.ph == b'i' {
+        w.field_u64("tid", r.tid);
+        if ph == "i" {
             // Thread-scoped instant (a tick on that thread's track).
             w.field_str("s", "t");
         }
-        if e.trace != 0 {
+        if r.trace != 0 {
             // Non-standard field, ignored by trace viewers; lets tools
             // slice an unfiltered export by request after the fact.
-            w.field_str("trace", &crate::hash::to_hex(e.trace));
+            w.field_str("trace", &crate::hash::to_hex(r.trace));
         }
-        if !e.args.is_empty() {
+        if !r.fields.is_empty() || r.detail.is_some() {
             w.key("args");
             w.begin_object();
-            for (k, v) in &e.args {
+            for (k, v) in &r.fields {
                 w.field_f64(k, *v);
+            }
+            if let Some(detail) = &r.detail {
+                w.field_str("detail", detail);
             }
             w.end_object();
         }
@@ -440,7 +178,7 @@ fn render_chrome_trace(filter: Option<u64>) -> String {
     }
     w.end_array();
     w.field_str("displayTimeUnit", "ms");
-    w.field_u64("droppedEvents", dropped);
+    w.field_u64("droppedEvents", recorder::overwritten_total());
     w.end_object();
     w.finish()
 }
@@ -449,17 +187,7 @@ fn render_chrome_trace(filter: Option<u64>) -> String {
 /// sanitised to `[A-Za-z0-9._-]`), creating directories.
 pub fn export_chrome_to(dir: &std::path::Path, label: &str) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let safe: String = label
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let path = dir.join(format!("{safe}.trace.json"));
+    let path = dir.join(format!("{}.trace.json", crate::file_label(label)));
     std::fs::write(&path, chrome_trace_json())?;
     Ok(path)
 }
@@ -473,11 +201,11 @@ pub fn emit(label: &str) -> Option<std::path::PathBuf> {
     }
     match export_chrome_to(std::path::Path::new("results/profiles"), label) {
         Ok(path) => {
-            eprintln!("gef-prof: wrote {}", path.display());
+            eprintln!("gef-trace: wrote {}", path.display());
             Some(path)
         }
         Err(e) => {
-            eprintln!("gef-prof: failed to write chrome trace: {e}");
+            eprintln!("gef-trace: failed to write chrome trace: {e}");
             None
         }
     }
@@ -488,9 +216,9 @@ mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
 
-    // Profiling state and buffers are process-global, and enabling
-    // profiling turns on the Telemetry::event timeline mirror for every
-    // thread — so these tests share the crate-wide test lock.
+    // Profiling state and the rings are process-global, and enabling
+    // profiling raises every thread's detail level — so these tests
+    // share the crate-wide test lock.
     use crate::TEST_LOCK;
 
     fn with_prof<T>(f: impl FnOnce() -> T) -> T {
@@ -503,124 +231,68 @@ mod tests {
         out
     }
 
-    #[test]
-    fn disabled_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_prof_enabled(false);
-        let before = event_count();
-        begin("ghost");
-        end("ghost");
-        instant("ghost.tick", &[("x", 1.0)]);
-        counter_sample("ghost.counter", 2.0);
-        assert_eq!(event_count(), before);
+    fn str_of<'a>(e: &'a JsonValue, k: &str) -> Option<&'a str> {
+        e.get(k).and_then(JsonValue::as_str)
     }
 
+    /// Flooding one thread past [`recorder::PROF_CAP`] inside an open
+    /// span overwrites the span's begin: the export must still parse,
+    /// keep every tid's B/E balanced, and report the overwrites.
     #[test]
-    fn begin_end_pairs_survive_export() {
+    fn export_stays_valid_after_the_ring_overwrites() {
         with_prof(|| {
-            begin_with("phase", &[("chunk", 3.0)]);
-            instant("tick", &[]);
-            end("phase");
-            let doc = chrome_trace_json();
-            crate::json::validate(&doc).unwrap_or_else(|e| panic!("invalid: {e}\n{doc}"));
-            let v = parse(&doc).unwrap();
-            let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
-            let phases: Vec<&str> = events
-                .iter()
-                .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some("phase"))
-                .map(|e| e.get("ph").and_then(JsonValue::as_str).unwrap())
-                .collect();
-            assert_eq!(phases, ["B", "E"]);
-            // Every event carries the required CTF fields.
-            for e in events {
-                for k in ["name", "ph", "pid", "tid"] {
-                    assert!(e.get(k).is_some(), "missing {k}");
+            {
+                let _span = crate::Span::enter("flooded");
+                for i in 0..(recorder::PROF_CAP + 10) {
+                    recorder::record(Kind::Event, "flood", &[("i", i as f64)]);
                 }
             }
-        });
-    }
-
-    #[test]
-    fn buffers_are_bounded_and_count_drops() {
-        with_prof(|| {
-            for _ in 0..(TIMELINE_CAP + 5) {
-                instant("flood", &[]);
+            assert!(recorder::overwritten_total() >= 11);
+            let doc = chrome_trace_json();
+            let v = parse(&doc).unwrap_or_else(|e| panic!("export does not parse: {e}"));
+            let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+            let mut depth: BTreeMap<i64, i64> = BTreeMap::new();
+            for e in events {
+                let tid = e.get("tid").and_then(JsonValue::as_f64).unwrap() as i64;
+                match str_of(e, "ph").unwrap() {
+                    "B" => *depth.entry(tid).or_default() += 1,
+                    "E" => {
+                        let d = depth.entry(tid).or_default();
+                        *d -= 1;
+                        assert!(*d >= 0, "E without matching B on tid {tid}");
+                    }
+                    _ => {}
+                }
             }
-            assert_eq!(dropped_total(), 5);
-            assert!(event_count() <= TIMELINE_CAP);
-        });
-    }
-
-    #[test]
-    fn unregistered_and_worker_tids_are_disjoint_and_stable() {
-        with_prof(|| {
-            instant("main.tick", &[]);
-            let t = std::thread::spawn(|| {
-                register_worker(2);
-                instant("worker.tick", &[]);
-            });
-            t.join().unwrap();
-            let tids = tids_with_events();
-            // This (unregistered) thread claimed tid 0 or an overflow
-            // tid >= 1000 — never a worker slot.
-            assert!(
-                tids.iter().any(|&t| t == 0 || t >= 1000),
-                "unregistered thread outside worker range: {tids:?}"
+            assert!(depth.values().all(|&d| d == 0), "unbalanced B/E: {depth:?}");
+            assert!(events.iter().all(|e| str_of(e, "name") != Some("flooded")));
+            assert_eq!(
+                v.get("droppedEvents").and_then(JsonValue::as_f64),
+                Some(recorder::overwritten_total() as f64)
             );
-            assert!(tids.contains(&3), "worker 2 maps to tid 3: {tids:?}");
-            // Re-recording lands on the same tid set (stability).
-            instant("main.tick2", &[]);
-            assert_eq!(tids_with_events(), tids);
         });
     }
 
     #[test]
     fn fragment_keeps_only_one_requests_events() {
         with_prof(|| {
-            instant("ambient", &[]);
-            {
-                let _a = crate::ctx::TraceCtx::with_id(0xa1).enter();
-                begin("req.a");
-                end("req.a");
+            crate::global().event("ambient", &[]);
+            for (id, name) in [(0xa1, "req.a"), (0xb2, "req.b")] {
+                let _scope = crate::ctx::TraceCtx::with_id(id).enter();
+                assert!(recorder::span_begin(name, &[]));
+                recorder::span_end(name);
             }
-            {
-                let _b = crate::ctx::TraceCtx::with_id(0xb2).enter();
-                begin("req.b");
-                end("req.b");
-            }
-            let doc = chrome_trace_fragment(0xa1);
-            crate::json::validate(&doc).unwrap_or_else(|e| panic!("invalid: {e}\n{doc}"));
-            let v = parse(&doc).unwrap();
-            let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
-            let named: Vec<&str> = events
+            // Only the request's own records, each stamped with its id.
+            let doc = parse(&chrome_trace_fragment(0xa1)).unwrap();
+            let events = doc.get("traceEvents").and_then(JsonValue::as_array);
+            let stamped: Vec<(&str, Option<&str>)> = events
+                .unwrap()
                 .iter()
-                .filter(|e| e.get("ph").and_then(JsonValue::as_str) != Some("M"))
-                .map(|e| e.get("name").and_then(JsonValue::as_str).unwrap())
+                .filter(|e| str_of(e, "ph") != Some("M"))
+                .map(|e| (str_of(e, "name").unwrap(), str_of(e, "trace")))
                 .collect();
-            assert_eq!(named, ["req.a", "req.a"]);
-            // Every non-metadata event is stamped with the request id.
-            for e in events
-                .iter()
-                .filter(|e| e.get("ph").and_then(JsonValue::as_str) != Some("M"))
-            {
-                assert_eq!(
-                    e.get("trace").and_then(JsonValue::as_str),
-                    Some(crate::hash::to_hex(0xa1).as_str())
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn reset_clears_events_but_keeps_registrations() {
-        with_prof(|| {
-            instant("pre", &[]);
-            assert!(event_count() >= 1);
-            reset();
-            assert_eq!(event_count(), 0);
-            instant("post", &[]);
-            assert!(!tids_with_events().is_empty());
+            let own = crate::hash::to_hex(0xa1);
+            assert_eq!(stamped, [("req.a", Some(own.as_str())); 2]);
         });
     }
 }

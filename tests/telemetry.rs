@@ -4,12 +4,15 @@
 //! recorded by gef-trace must agree with the `FitSummary`.
 //!
 //! Also proves the observation-only contract: with tracing *and*
-//! profiling off the pipeline records nothing and its numeric outputs
-//! are bit-identical to a fully instrumented run, and the disabled
-//! span fast path is cheap enough to leave in hot loops.
+//! profiling off the pipeline records no aggregates and no profiling
+//! detail, its numeric outputs are bit-identical to a fully
+//! instrumented run, and the disabled span fast path is cheap enough to
+//! leave in hot loops.
 
 use gef_core::{GefConfig, GefExplainer};
 use gef_forest::{Forest, GbdtParams, GbdtTrainer};
+use gef_trace::{recorder, timeline};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Tracing/profiling state is process-global and the tests in this
@@ -142,10 +145,24 @@ fn small_problem() -> (Forest, GefConfig) {
     (forest, config)
 }
 
-/// With `GEF_TRACE` and `GEF_PROF` both off the pipeline must record
-/// *nothing* — no telemetry, no timeline events — and produce outputs
-/// bit-identical to a run with both fully on: the instrumentation
-/// observes, it never participates.
+/// Records of the event ring that only profiling detail (`GEF_PROF`)
+/// makes: gef-par task spans (span begins carrying fields) and counter
+/// samples.
+fn detail_records() -> usize {
+    recorder::snapshot_last(usize::MAX)
+        .iter()
+        .filter(|r| {
+            r.kind == recorder::Kind::Counter
+                || (r.kind == recorder::Kind::SpanBegin && !r.fields.is_empty())
+        })
+        .count()
+}
+
+/// With `GEF_TRACE` and `GEF_PROF` both off the pipeline records no
+/// aggregates and no profiling detail — only the always-on flight
+/// recorder's coarse records, at most `RING_CAP` per thread — and
+/// produces outputs bit-identical to a run with both fully on: the
+/// instrumentation observes, it never participates.
 #[test]
 fn disabled_observability_records_nothing_and_outputs_are_bit_identical() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -156,27 +173,36 @@ fn disabled_observability_records_nothing_and_outputs_are_bit_identical() {
 
     // Everything off, clean slates.
     gef_trace::set_enabled(false);
-    gef_trace::timeline::set_prof_enabled(false);
+    timeline::set_prof_enabled(false);
     gef_trace::global().reset();
-    gef_trace::timeline::reset();
-    let events_before = gef_trace::timeline::event_count();
+    recorder::reset();
     let off = GefExplainer::new(config.clone()).explain(&forest).unwrap();
     assert_eq!(
-        gef_trace::timeline::event_count(),
-        events_before,
-        "disabled profiling must not record timeline events"
+        detail_records(),
+        0,
+        "profiling off must not record task or counter detail"
     );
-    let t = gef_trace::global();
-    assert_eq!(t.span_count("pipeline.explain"), 0);
-    assert!(t.events_named("gam.gcv").is_empty());
+    let mut per_thread: BTreeMap<u64, usize> = BTreeMap::new();
+    for r in recorder::snapshot_last(usize::MAX) {
+        *per_thread.entry(r.tid).or_default() += 1;
+    }
+    assert!(
+        per_thread.values().all(|&n| n <= recorder::RING_CAP),
+        "a coarse ring outgrew RING_CAP: {per_thread:?}"
+    );
+    let report = gef_trace::global().snapshot("dark");
+    assert!(
+        report.spans.is_empty() && report.events.is_empty(),
+        "GEF_TRACE off must leave the aggregates empty"
+    );
 
-    // Everything on: tracing, timeline, the works.
+    // Everything on: tracing, profiling detail, the works.
     gef_trace::set_enabled(true);
-    gef_trace::timeline::set_prof_enabled(true);
+    timeline::set_prof_enabled(true);
     let on = GefExplainer::new(config).explain(&forest).unwrap();
     assert!(
-        gef_trace::timeline::event_count() > 0,
-        "enabled profiling should record timeline events"
+        detail_records() > 0,
+        "enabled profiling should record task detail"
     );
 
     // Numeric outputs must agree to the bit.
@@ -190,10 +216,10 @@ fn disabled_observability_records_nothing_and_outputs_are_bit_identical() {
         );
     }
 
-    gef_trace::timeline::set_prof_enabled(false);
+    timeline::set_prof_enabled(false);
     gef_trace::set_enabled(false);
     gef_trace::global().reset();
-    gef_trace::timeline::reset();
+    recorder::reset();
 }
 
 /// The disabled span path must stay cheap enough to leave on every hot
@@ -206,7 +232,7 @@ fn disabled_observability_records_nothing_and_outputs_are_bit_identical() {
 fn disabled_span_fast_path_is_cheap() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     gef_trace::set_enabled(false);
-    gef_trace::timeline::set_prof_enabled(false);
+    timeline::set_prof_enabled(false);
     let t0 = std::time::Instant::now();
     let mut acc = 0u64;
     for i in 0..1_000_000u64 {
